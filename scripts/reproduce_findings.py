@@ -68,7 +68,7 @@ def main():
         fv = FeatureVector(random_bits(1795, args.seed, f"user/{i}"))
         tpl = transform(fv, params)
         forged = forge(tpl, random_bits(tpl.block_count, args.seed, f"selector/{i}"))
-        successes += transform(forged, params) == tpl
+        successes += transform(forged, params).same_template(tpl)
     print(f"forgeries_accepted\t{successes}/{args.forgeries}")
     print(f"elapsed_seconds\t{time.perf_counter() - t0:.2f}")
 

@@ -22,10 +22,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .attack import _forge_value
 from .bits import BitString, FeatureVector, random_bits, stream_rng
 from .errors import CapacityError, InvalidArgumentError
-from .transform import TransformParams, _transform_value, transform
+from .transform import TransformParams, invert_value, transform, transform_value
 
 CENSUS_MAX_BITS = 24
 
@@ -84,10 +83,13 @@ def census_fibers(bit_length: int, block_size: int) -> "dict[int, list[int]]":
         raise InvalidArgumentError(
             f"census length must be a positive multiple of the block size, got {bit_length}"
         )
-    n = bit_length // params.block_size
+    b, n = params.block_size, bit_length // params.block_size
+    # Blocks transform independently: a template is the template of the
+    # leading n-1 blocks followed by the last block's row.
+    rows = [transform_value(block, 1, b) for block in range(1 << b)]
+    heads = [transform_value(high, n - 1, b) << (b - 1) for high in range(1 << (bit_length - b))]
     fibers: "dict[int, list[int]]" = {}
-    for value in range(1 << bit_length):
-        tpl = _transform_value(value, n, params.block_size)
+    for value, tpl in enumerate(head | row for head in heads for row in rows):
         members = fibers.get(tpl)
         if members is None:
             fibers[tpl] = [value]
@@ -143,9 +145,9 @@ def recovery_probability(
     for trial in range(trials):
         rng = stream_rng(seed, f"trial/{trial}")
         original = rng.getrandbits(bit_length)
-        template = _transform_value(original, n, block_size)
+        template = transform_value(original, n, block_size)
         selector = rng.getrandbits(n)
-        if _forge_value(template, n, block_size, selector) == original:
+        if invert_value(template, n, block_size, selector) == original:
             successes += 1
     analytic = 2.0 ** -n
     empirical = successes / trials

@@ -5,6 +5,9 @@ a chosen pivot value and insert that pivot at the middle position.  The
 two candidates are bitwise complements of each other, so a template with
 n blocks has a fiber of exactly 2**n feature vectors, all enumerable from
 the template alone.  No auxiliary information is needed.
+
+Blocks and whole templates are inverted by ``transform.invert_value``, the
+inverse half of the transform's linear kernel pair (see that module).
 """
 
 from __future__ import annotations
@@ -14,33 +17,10 @@ from typing import Iterator
 
 from .bits import BitString, FeatureVector
 from .errors import DimensionError, InvalidArgumentError
-from .transform import ProtectedTemplate
+from .transform import ProtectedTemplate, invert_value
 
 MAX_TABLE_BLOCK_SIZE = 17
 _DECIMAL_EXPONENT_LIMIT = 62
-
-
-def _invert_block_value(out: int, pivot: int, shift: int, out_mask: int) -> int:
-    if pivot:
-        out ^= out_mask
-    high = out >> shift
-    low = out & ((1 << shift) - 1)
-    return (high << (shift + 1)) | (pivot << shift) | low
-
-
-def _forge_value(template: int, nblocks: int, b: int, selector: int) -> int:
-    shift = b - 1 - (b - 1) // 2
-    out_mask = (1 << (b - 1)) - 1
-    low_mask = (1 << shift) - 1
-    value = 0
-    for i in range(nblocks - 1, -1, -1):
-        out = (template >> (i * (b - 1))) & out_mask
-        pivot = (selector >> i) & 1
-        if pivot:
-            out ^= out_mask
-        block = ((out >> shift) << (shift + 1)) | (pivot << shift) | (out & low_mask)
-        value |= block << (i * b)
-    return value
 
 
 def invert_block(out: BitString, pivot_choice: int) -> BitString:
@@ -52,9 +32,7 @@ def invert_block(out: BitString, pivot_choice: int) -> BitString:
             f"output block length must be even and >= 2, got {out.length}"
         )
     b = out.length + 1
-    shift = b - 1 - (b - 1) // 2
-    value = _invert_block_value(out.value, pivot_choice, shift, (1 << (b - 1)) - 1)
-    return BitString(value, b)
+    return BitString(invert_value(out.value, 1, b, pivot_choice), b)
 
 
 def forge(tpl: ProtectedTemplate, selector: BitString) -> FeatureVector:
@@ -69,11 +47,8 @@ def forge(tpl: ProtectedTemplate, selector: BitString) -> FeatureVector:
             f"selector has {selector.length} bits, template has {tpl.block_count} blocks"
         )
     b = tpl.params.block_size
-    value = _forge_value(tpl.data.value, tpl.block_count, b, selector.value)
-    return FeatureVector(
-        BitString(value, tpl.block_count * b),
-        provenance=f"forged selector={selector.to_text()}",
-    )
+    value = invert_value(tpl.data.value, tpl.block_count, b, selector.value)
+    return FeatureVector(BitString(value, tpl.block_count * b), provenance="forged")
 
 
 def enumerate_preimages(tpl: ProtectedTemplate, limit: int) -> Iterator[FeatureVector]:

@@ -29,6 +29,9 @@ _SEED_MASK = (1 << 64) - 1
 
 FBIN_MAGIC = b"FBV1"
 
+# Bit values as bytes <-> the text codec's ASCII digits.
+_TO_DIGITS, _FROM_DIGITS = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
+
 
 class BitString:
     """An immutable ordered sequence of bits backed by a Python int.
@@ -50,14 +53,11 @@ class BitString:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        value = 0
-        length = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise InvalidArgumentError(f"bit value {b!r} is not 0 or 1")
-            value = (value << 1) | b
-            length += 1
-        return cls(value, length)
+        bits = list(bits)
+        if bits.count(0) + bits.count(1) != len(bits):
+            bad = next(b for b in bits if b not in (0, 1))
+            raise InvalidArgumentError(f"bit value {bad!r} is not 0 or 1")
+        return cls(int(bytes(bits).translate(_TO_DIGITS) or b"0", 2), len(bits))
 
     @classmethod
     def zeros(cls, length: int) -> "BitString":
@@ -75,8 +75,7 @@ class BitString:
         return (self.value >> (self.length - 1 - index)) & 1
 
     def __iter__(self) -> Iterator[int]:
-        for i in range(self.length):
-            yield (self.value >> (self.length - 1 - i)) & 1
+        return iter(self.to_text().encode("ascii").translate(_FROM_DIGITS))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitString):
@@ -143,18 +142,12 @@ def from_text(text: str) -> BitString:
     Any other character raises :class:`MalformedInputError` naming the
     offending position (character offset in the original text).
     """
-    value = 0
-    length = 0
-    for pos, ch in enumerate(text):
-        if ch == "0":
-            value <<= 1
-            length += 1
-        elif ch == "1":
-            value = (value << 1) | 1
-            length += 1
-        elif not ch.isspace():
-            raise MalformedInputError(f"invalid character {ch!r} at position {pos}")
-    return BitString(value, length)
+    digits = "".join(text.split())
+    # Checked here because int() would also take '_', '+', '0b' and non-ASCII digits.
+    if digits.count("0") + digits.count("1") != len(digits):
+        pos = next(i for i, ch in enumerate(text) if ch not in "01" and not ch.isspace())
+        raise MalformedInputError(f"invalid character {text[pos]!r} at position {pos}")
+    return BitString(int(digits or "0", 2), len(digits))
 
 
 def to_text(bs: BitString) -> str:

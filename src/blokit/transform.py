@@ -4,6 +4,14 @@ A feature vector is cut into blocks of a fixed odd size b.  Each block is
 mapped to b-1 bits by XORing every bit with the middle (pivot) bit and
 dropping the pivot; the outputs are concatenated into the protected
 template.  The map is deterministic and keyless.
+
+All bit-level work goes through one linear kernel pair on MSB-first
+integers, :func:`transform_value` and its inverse :func:`invert_value`:
+one multiplication XORs every block with its pivot, and extended slices of
+the '0'/'1' text drop or insert the pivot column.  That text round trip
+costs a few microseconds at any size, more than a shift loop spends on a
+few blocks, so below a measured block count (the recovery study makes
+200,000 two-block calls) the kernels run that quadratic loop instead.
 """
 
 from __future__ import annotations
@@ -109,36 +117,60 @@ def _coerce(fv: "FeatureVector | BitString") -> BitString:
     return fv.data if isinstance(fv, FeatureVector) else fv
 
 
-def _transform_block_value(block: int, shift: int, out_mask: int) -> int:
-    # shift = distance of the pivot bit from the LSB end of the block
-    merged = ((block >> (shift + 1)) << shift) | (block & ((1 << shift) - 1))
-    if (block >> shift) & 1:
-        merged ^= out_mask
-    return merged
+# Timed per call (timeit, Python 3.11, b = 3..17), the text path wins from 6-8
+# blocks for the transform and 14-18 (b <= 7) to 24-32 (b = 17) for the inverse.
+_TEXT_MIN_BLOCKS = 16
 
 
-def _transform_value(value: int, nblocks: int, b: int) -> int:
-    shift = b - 1 - (b - 1) // 2
-    block_mask = (1 << b) - 1
-    out_mask = (1 << (b - 1)) - 1
-    low_mask = (1 << shift) - 1
-    out = 0
-    for i in range(nblocks - 1, -1, -1):
-        block = (value >> (i * b)) & block_mask
-        merged = ((block >> (shift + 1)) << shift) | (block & low_mask)
-        if (block >> shift) & 1:
-            merged ^= out_mask
-        out |= merged << (i * (b - 1))
-    return out
+def _pivot_flip(value: int, nblocks: int, b: int) -> int:
+    # XOR each block's non-pivot bits with its pivot: one carry-free product
+    # spreads every pivot over its own block.  The map is its own inverse.
+    pivot = (b - 1) // 2
+    block_lsbs = int(("0" * (b - 1) + "1") * nblocks, 2)
+    return value ^ (((value >> pivot) & block_lsbs) * (((1 << b) - 1) ^ (1 << pivot)))
+
+
+def transform_value(value: int, nblocks: int, b: int) -> int:
+    """The template of ``nblocks`` aligned b-bit blocks, both MSB-first integers."""
+    p, w = (b - 1) // 2, b - 1  # the pivot sits p bits from either end
+    if nblocks < _TEXT_MIN_BLOCKS:
+        block_mask, out_mask, low_mask = (1 << b) - 1, (1 << w) - 1, (1 << p) - 1
+        out = 0
+        for i in range(nblocks - 1, -1, -1):
+            block = (value >> (i * b)) & block_mask
+            merged = ((block >> (p + 1)) << p) | (block & low_mask)
+            out |= (merged ^ out_mask if (block >> p) & 1 else merged) << (i * w)
+        return out
+    text = bytearray(format(_pivot_flip(value, nblocks, b), f"0{nblocks * b}b"), "ascii")
+    del text[p::b]
+    return int(text, 2)
+
+
+def invert_value(template: int, nblocks: int, b: int, selector: int) -> int:
+    """The preimage of a template whose block k takes selector bit k (MSB-first) as pivot."""
+    p, w = (b - 1) // 2, b - 1
+    if nblocks < _TEXT_MIN_BLOCKS:
+        out_mask, low_mask = (1 << w) - 1, (1 << p) - 1
+        value = 0
+        for i in range(nblocks - 1, -1, -1):
+            pivot = (selector >> i) & 1
+            out = ((template >> (i * w)) & out_mask) ^ (out_mask * pivot)
+            value |= (((out >> p) << (p + 1)) | (pivot << p) | (out & low_mask)) << (i * b)
+        return value
+    outs = format(template, f"0{nblocks * w}b").encode("ascii")
+    text = bytearray(nblocks * b)
+    text[p::b] = format(selector, f"0{nblocks}b").encode("ascii")
+    for j in range(p):
+        text[j::b], text[p + 1 + j :: b] = outs[j::w], outs[p + j :: w]
+    return _pivot_flip(int(text, 2), nblocks, b)
 
 
 def segment(fv: "FeatureVector | BitString", params: TransformParams) -> "list[BitString]":
     """Cut the input into consecutive block-size slices after padding/truncation."""
-    bs = _coerce(fv)
-    value, n = _aligned_value(bs, params)
+    value, n = _aligned_value(_coerce(fv), params)
     b = params.block_size
-    mask = (1 << b) - 1
-    return [BitString((value >> ((n - 1 - i) * b)) & mask, b) for i in range(n)]
+    text = format(value, f"0{n * b}b")
+    return [BitString(int(text[i : i + b], 2), b) for i in range(0, n * b, b)]
 
 
 def transform_block(block: BitString) -> BitString:
@@ -146,9 +178,7 @@ def transform_block(block: BitString) -> BitString:
     b = block.length
     if b < 3 or b % 2 == 0:
         raise InvalidArgumentError(f"block length must be odd and >= 3, got {b}")
-    shift = b - 1 - (b - 1) // 2
-    out = _transform_block_value(block.value, shift, (1 << (b - 1)) - 1)
-    return BitString(out, b - 1)
+    return BitString(transform_value(block.value, 1, b), b - 1)
 
 
 def transform(fv: "FeatureVector | BitString", params: TransformParams) -> ProtectedTemplate:
@@ -158,7 +188,7 @@ def transform(fv: "FeatureVector | BitString", params: TransformParams) -> Prote
     """
     bs = _coerce(fv)
     value, n = _aligned_value(bs, params)
-    out = _transform_value(value, n, params.block_size)
+    out = transform_value(value, n, params.block_size)
     return ProtectedTemplate(
         data=BitString(out, n * (params.block_size - 1)),
         params=params,

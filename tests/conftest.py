@@ -3,6 +3,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 
 from blokit import BitString, FeatureVector, PaddingPolicy, TransformParams
+from blokit.transform import _TEXT_MIN_BLOCKS
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -23,6 +24,8 @@ def feature_vectors(draw, min_length=1, max_length=64):
 
 odd_block_sizes = st.sampled_from([3, 5, 7, 9])
 
+every_odd_block_size = st.sampled_from(range(3, 18, 2))
+
 padding_policies = st.sampled_from(list(PaddingPolicy))
 
 
@@ -39,3 +42,51 @@ def block_multiple_features(draw, max_blocks=8):
     length = b * nblocks
     value = draw(st.integers(0, (1 << length) - 1))
     return FeatureVector(BitString(value, length)), TransformParams(b)
+
+
+# Bitwise oracles on '0'/'1' text, written from the definition and sharing
+# no code with the package's kernels.
+
+
+def oracle_transform(text, b, padding=PaddingPolicy.ZERO_PAD):
+    """XOR each non-pivot bit of every b-bit block with the pivot; drop the pivot."""
+    if padding is PaddingPolicy.ZERO_PAD:
+        text += "0" * (-len(text) % b)
+    else:
+        text = text[: len(text) - len(text) % b]
+    pivot = (b - 1) // 2
+    out = []
+    for start in range(0, len(text), b):
+        block = text[start : start + b]
+        out += [str(int(block[i]) ^ int(block[pivot])) for i in range(b) if i != pivot]
+    return "".join(out)
+
+
+def oracle_forge(template_text, b, selector_text):
+    """Per block: XOR the b-1 output bits with the selector bit, insert it as the pivot."""
+    pivot = (b - 1) // 2
+    out = []
+    for k, sel in enumerate(selector_text):
+        chunk = template_text[k * (b - 1) : (k + 1) * (b - 1)]
+        bits = [str(int(c) ^ int(sel)) for c in chunk]
+        out += bits[:pivot] + [sel] + bits[pivot:]
+    return "".join(out)
+
+
+# Block counts on both sides of the kernels' loop/text crossover.
+kernel_block_counts = st.one_of(
+    st.sampled_from([1, _TEXT_MIN_BLOCKS - 1, _TEXT_MIN_BLOCKS, _TEXT_MIN_BLOCKS + 1]),
+    st.integers(2, 300),
+)
+
+
+@st.composite
+def kernel_features(draw):
+    """(feature, params) aligning to a drawn block count, mostly not a multiple of b."""
+    params = TransformParams(draw(every_odd_block_size), draw(padding_policies))
+    b, nblocks = params.block_size, draw(kernel_block_counts)
+    if params.padding is PaddingPolicy.ZERO_PAD:
+        length = draw(st.integers((nblocks - 1) * b + 1, nblocks * b))
+    else:
+        length = draw(st.integers(nblocks * b, nblocks * b + b - 1))
+    return BitString(draw(st.integers(0, (1 << length) - 1)), length), params

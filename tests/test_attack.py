@@ -21,7 +21,13 @@ from blokit import (
     TransformParams,
 )
 
-from conftest import block_multiple_features, TABLE_B5_FIXTURE
+from conftest import (
+    TABLE_B5_FIXTURE,
+    block_multiple_features,
+    every_odd_block_size,
+    kernel_features,
+    oracle_forge,
+)
 
 ZP = TransformParams(5)
 
@@ -100,6 +106,42 @@ class TestForge:
         sel_value = data.draw(st.integers(0, (1 << tpl.block_count) - 1))
         sel = BitString(sel_value, tpl.block_count)
         assert forge(tpl, complement(sel)).data == complement(forge(tpl, sel).data)
+
+
+class TestInverseAgainstOracle:
+    """The inverse kernel and its small-input loop against the bitwise definition."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(kernel_features(), st.data())
+    def test_forge_matches_oracle_and_round_trips(self, bs_params, data):
+        bs, params = bs_params
+        tpl = transform(bs, params)
+        n = tpl.block_count
+        selector = BitString(data.draw(st.integers(0, (1 << n) - 1)), n)
+        forged = forge(tpl, selector)
+        b = params.block_size
+        assert forged.data.to_text() == oracle_forge(tpl.data.to_text(), b, selector.to_text())
+        assert transform(forged, params).same_template(tpl)
+
+    @settings(max_examples=300)
+    @given(every_odd_block_size, st.data())
+    def test_invert_block_matches_oracle_and_round_trips(self, b, data):
+        out = BitString(data.draw(st.integers(0, (1 << (b - 1)) - 1)), b - 1)
+        pivot = data.draw(st.sampled_from([0, 1]))
+        block = invert_block(out, pivot)
+        assert block.to_text() == oracle_forge(out.to_text(), b, str(pivot))
+        assert transform_block(block) == out
+
+    def test_large_template_matches_oracle(self):
+        for b in (3, 5, 17):
+            tpl = transform(random_bits(20_003, 12), TransformParams(b))
+            selector = random_bits(tpl.block_count, 13)
+            forged = forge(tpl, selector)
+            assert forged.data.to_text() == oracle_forge(tpl.data.to_text(), b, selector.to_text())
+
+    def test_provenance_is_a_fixed_label(self):
+        tpl = transform(random_bits(5000, 14), ZP)
+        assert forge(tpl, random_bits(tpl.block_count, 15)).provenance == "forged"
 
 
 class TestEnumeratePreimages:

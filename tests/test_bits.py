@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -55,6 +57,64 @@ class TestFromText:
     @given(bit_strings())
     def test_round_trip(self, bs):
         assert from_text(to_text(bs)) == bs
+
+
+# Whitespace as str.isspace() sees it, beyond ASCII included.
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003\u2028\u3000"
+
+
+class TestFromTextAgainstOracle:
+    @pytest.mark.parametrize("space", ["\u3000", "\x1c", "\xa0", "\u2028"])
+    def test_unicode_whitespace_is_skipped(self, space):
+        assert from_text(f"1{space}0{space}1{space}") == from_text("101")
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [("1_0", 1), ("+1", 0), ("0b1", 1), ("\u0661", 0), ("10 \u0660", 3), ("1\u30001_", 3)],
+    )
+    def test_int_syntax_is_rejected_at_its_offset(self, text, position):
+        with pytest.raises(MalformedInputError, match=f"position {position}$"):
+            from_text(text)
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="01" + WHITESPACE, max_size=300))
+    def test_matches_oracle(self, text):
+        digits = [int(ch) for ch in text if not ch.isspace()]
+        bs = from_text(text)
+        assert (bs.length, list(bs)) == (len(digits), digits)
+
+    @settings(max_examples=200)
+    @given(
+        st.text(alphabet="01" + WHITESPACE, max_size=100),
+        st.characters().filter(lambda ch: ch not in "01" and not ch.isspace()),
+        st.text(max_size=10),
+    )
+    def test_first_bad_character_is_named_at_its_offset(self, good, bad, tail):
+        with pytest.raises(MalformedInputError, match=f"at position {len(good)}$"):
+            from_text(good + bad + tail)
+
+
+class TestFromBitsAndIter:
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from([0, 1]), max_size=400))
+    def test_from_bits_matches_oracle(self, bits):
+        bs = BitString.from_bits(iter(bits))
+        assert bs.to_text() == "".join(map(str, bits))
+        assert list(bs) == bits
+
+    @settings(max_examples=300)
+    @given(bit_strings(max_length=400))
+    def test_iter_round_trips(self, bs):
+        assert [int(ch) for ch in bs.to_text()] == list(bs)
+        assert BitString.from_bits(bs) == bs
+
+    @pytest.mark.parametrize("bad", [2, -1, 256, 0.5, "1", None, [1], b"\x01"])
+    def test_from_bits_rejects_non_bits(self, bad):
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"bit value {bad!r} ")):
+            BitString.from_bits([1, 0, bad, 1])
+
+    def test_from_bits_takes_bools(self):
+        assert BitString.from_bits([True, False, True]) == from_text("101")
 
 
 class TestPack:

@@ -21,7 +21,14 @@ from blokit import (
     write_template_file,
 )
 
-from conftest import bit_strings, block_multiple_features, transform_params
+from conftest import (
+    bit_strings,
+    block_multiple_features,
+    every_odd_block_size,
+    kernel_features,
+    oracle_transform,
+    transform_params,
+)
 
 ZP = TransformParams(5)
 TR = TransformParams(5, PaddingPolicy.TRUNCATE)
@@ -163,6 +170,44 @@ class TestTransform:
         tpl = transform(fv, ZP)
         padded = from_text("1011001000")
         assert padded in {p.data for p in enumerate_preimages(tpl, 4)}
+
+
+class TestKernelAgainstOracle:
+    """The linear kernel and its small-input loop against the bitwise definition."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(kernel_features())
+    def test_transform_matches_oracle(self, bs_params):
+        bs, params = bs_params
+        tpl = transform(bs, params)
+        expected = oracle_transform(bs.to_text(), params.block_size, params.padding)
+        assert tpl.data.to_text() == expected
+        assert tpl.original_length == bs.length
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_features())
+    def test_segment_matches_oracle(self, bs_params):
+        bs, params = bs_params
+        b, text = params.block_size, bs.to_text()
+        if params.padding is PaddingPolicy.ZERO_PAD:
+            text += "0" * (-len(text) % b)
+        else:
+            text = text[: len(text) - len(text) % b]
+        expected = [text[i : i + b] for i in range(0, len(text), b)]
+        assert [blk.to_text() for blk in segment(bs, params)] == expected
+
+    @settings(max_examples=300)
+    @given(every_odd_block_size, st.data())
+    def test_transform_block_matches_oracle(self, b, data):
+        block = BitString(data.draw(st.integers(0, (1 << b) - 1)), b)
+        assert transform_block(block).to_text() == oracle_transform(block.to_text(), b)
+
+    @pytest.mark.parametrize("padding", list(PaddingPolicy))
+    def test_large_feature_matches_oracle(self, padding):
+        bs = random_bits(20_003, 11)
+        for b in (3, 5, 17):
+            tpl = transform(bs, TransformParams(b, padding))
+            assert tpl.data.to_text() == oracle_transform(bs.to_text(), b, padding)
 
 
 class TestProtectedTemplateInvariants:
