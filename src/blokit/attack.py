@@ -70,7 +70,6 @@ class PreimageCount:
     """Exact fiber size 2**exponent, rendered symbolically beyond 2**62."""
 
     exponent: int
-    base: int = 2
 
     @property
     def exact(self) -> int:

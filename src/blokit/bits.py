@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -54,10 +55,11 @@ class BitString:
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitString":
         bits = list(bits)
-        if bits.count(0) + bits.count(1) != len(bits):
-            bad = next(b for b in bits if b not in (0, 1))
-            raise InvalidArgumentError(f"bit value {bad!r} is not 0 or 1")
-        return cls(int(bytes(bits).translate(_TO_DIGITS) or b"0", 2), len(bits))
+        with suppress(TypeError):  # from bytes(): a non-integer equal to 0 or 1, such as 1.0
+            if bits.count(0) + bits.count(1) == len(bits):
+                return cls(int(bytes(bits).translate(_TO_DIGITS) or b"0", 2), len(bits))
+        bad = next(b for b in bits if b not in (0, 1) or not hasattr(b, "__index__"))
+        raise InvalidArgumentError(f"bit value {bad!r} is not 0 or 1")
 
     @classmethod
     def zeros(cls, length: int) -> "BitString":

@@ -3,15 +3,16 @@
 Exit codes: 0 success or accept, 1 usage or internal error,
 2 authentication reject, 3 capacity refusal.  Reports go to stdout,
 diagnostics to stderr; every randomized subcommand requires --seed and is
-byte-for-byte deterministic given its argument vector.
+byte-for-byte deterministic given its argument vector.  The process builds
+one parser, on its first command, and reuses it for every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
-import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ from .attack import build_table, count_preimages, enumerate_preimages, forge
 from .bits import BitString, FeatureVector, from_text, random_bits
 from .errors import BlokitError, CapacityError, InvalidArgumentError
 from .matcher import match_templates
-from .store import EnrollmentRecord, TemplateStore
+from .store import TemplateStore
 from .transform import (
     PaddingPolicy,
     TransformParams,
@@ -201,6 +202,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    # argparse keeps no state between parse_args calls, so one tree serves every run.
+    return build_parser()
+
+
 def _cmd_gen(ns: argparse.Namespace) -> int:
     fv = FeatureVector(random_bits(ns.bits, ns.seed), provenance=f"seed={ns.seed}")
     bits.write_feature(ns.out, fv)
@@ -314,15 +321,8 @@ def _cmd_analyze_revoke(ns: argparse.Namespace) -> int:
 
 def _cmd_store_enroll(ns: argparse.Namespace) -> int:
     Path(ns.root).mkdir(parents=True, exist_ok=True)
-    store = TemplateStore(ns.root)
     fv = bits.read_feature(ns.infile)
-    record = EnrollmentRecord(
-        device_id=ns.device,
-        user_id=ns.user,
-        template=transform(fv, _params(ns)),
-        enrolled_at=int(time.time()),
-    )
-    store.enroll(record)
+    TemplateStore(ns.root).enroll_feature(ns.device, ns.user, fv, _params(ns))
     return EXIT_OK
 
 
@@ -336,17 +336,13 @@ def _cmd_store_auth(ns: argparse.Namespace) -> int:
 
 def _cmd_store_list(ns: argparse.Namespace) -> int:
     for e in TemplateStore(ns.root).list_records():
-        print(
-            f"{e.device_id}\t{e.user_id}\t{e.filename}\t{e.block_size}"
-            f"\t{e.original_length}\t{e.enrolled_at}"
-        )
+        print(e.to_line())
     return EXIT_OK
 
 
 def _dispatch(argv: "list[str]") -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _shared_parser().parse_args(argv)
     except _UsageError as exc:
         sys.stderr.write(exc.usage)
         sys.stderr.write(f"blokit: error: {exc}\n")

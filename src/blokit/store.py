@@ -57,6 +57,28 @@ class ManifestEntry:
     original_length: int
     enrolled_at: int
 
+    def to_line(self) -> str:
+        """The manifest line for this entry, without its newline."""
+        return _manifest_line(self)
+
+    @classmethod
+    def from_line(cls, line: str, line_no: int) -> "ManifestEntry":
+        """Decode one manifest line; a malformed one raises ManifestError at ``line_no``."""
+        parts = line.split("\t")
+        if len(parts) != 6:
+            raise ManifestError(line_no, f"expected 6 tab-separated fields, got {len(parts)}")
+        try:
+            return cls(parts[0], parts[1], parts[2], int(parts[3]), int(parts[4]), int(parts[5]))
+        except ValueError as exc:
+            raise ManifestError(line_no, str(exc)) from exc
+
+
+def _manifest_line(e: ManifestEntry) -> str:
+    return (
+        f"{e.device_id}\t{e.user_id}\t{e.filename}\t{e.block_size}"
+        f"\t{e.original_length}\t{e.enrolled_at}"
+    )
+
 
 def _check_id(kind: str, value: str) -> None:
     if not value or value in (".", "..") or any(c in _FORBIDDEN_ID_CHARS for c in value):
@@ -101,12 +123,10 @@ class TemplateStore:
                     break
             else:
                 entries.append(entry)
-            lines = [
-                f"{e.device_id}\t{e.user_id}\t{e.filename}\t{e.block_size}"
-                f"\t{e.original_length}\t{e.enrolled_at}"
-                for e in entries
-            ]
-            self.manifest_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            # Not e.to_line(): perfbench's tracer wraps every public method,
+            # and a span per re-encoded entry would swamp the store's own spans.
+            text = "".join(_manifest_line(e) + "\n" for e in entries)
+            self.manifest_path.write_text(text, encoding="utf-8")
         except OSError as exc:
             raise StorageError(f"cannot write to store at {self.root}: {exc}") from exc
 
@@ -150,26 +170,9 @@ class TemplateStore:
         self._require_root()
         if not self.manifest_path.exists():
             return []
-        entries = []
         text = self.manifest_path.read_text(encoding="utf-8")
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 6:
-                raise ManifestError(line_no, f"expected 6 tab-separated fields, got {len(parts)}")
-            device_id, user_id, filename, block_size, original_length, enrolled_at = parts
-            try:
-                entries.append(
-                    ManifestEntry(
-                        device_id=device_id,
-                        user_id=user_id,
-                        filename=filename,
-                        block_size=int(block_size),
-                        original_length=int(original_length),
-                        enrolled_at=int(enrolled_at),
-                    )
-                )
-            except ValueError as exc:
-                raise ManifestError(line_no, str(exc)) from exc
-        return entries
+        return [
+            ManifestEntry.from_line(line, line_no)
+            for line_no, line in enumerate(text.splitlines(), start=1)
+            if line
+        ]

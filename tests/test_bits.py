@@ -108,7 +108,7 @@ class TestFromBitsAndIter:
         assert [int(ch) for ch in bs.to_text()] == list(bs)
         assert BitString.from_bits(bs) == bs
 
-    @pytest.mark.parametrize("bad", [2, -1, 256, 0.5, "1", None, [1], b"\x01"])
+    @pytest.mark.parametrize("bad", [2, -1, 256, 0.5, "1", None, [1], b"\x01", 1.0, 0.0])
     def test_from_bits_rejects_non_bits(self, bad):
         with pytest.raises(InvalidArgumentError, match=re.escape(f"bit value {bad!r} ")):
             BitString.from_bits([1, 0, bad, 1])

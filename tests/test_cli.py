@@ -1,12 +1,16 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from blokit import from_text, read_template_file
+from blokit import cli, from_text, read_template_file
 from blokit.bits import read_bits_file
 from blokit.cli import run
 
 from conftest import TABLE_B5_FIXTURE
+from parser_reuse import SRC, mismatches
 
 
 def ok(args):
@@ -322,3 +326,38 @@ class TestDeterminism:
         assert first.exit_code == second.exit_code
         assert first.stdout == second.stdout
         assert first.stderr == second.stderr
+
+
+class TestParserReuse:
+    def test_outcomes_match_a_fresh_interpreter_in_both_orders(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert mismatches(tmp_path) == []
+
+    def test_second_run_builds_no_parser(self, monkeypatch):
+        ok(["table", "--block-size", "3"])
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        ok(["table", "--block-size", "3"])
+        assert built == []
+        cli.build_parser()
+        assert built  # the patch does see a parser being built
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(self) or init(self, *a, **k)\n"
+            "import blokit.cli\n"
+            "print(len(built))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
