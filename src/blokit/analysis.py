@@ -2,8 +2,9 @@
 
 Four questions, each answered by measurement rather than argument:
 
-- fiber_census: exhaustively enumerate small input spaces and group them
-  by template, confirming every template has exactly 2**n preimages.
+- fiber_census: exhaustively enumerate small input spaces and count the
+  inputs that reach each template, confirming every template has exactly
+  2**n preimages (census_fibers keeps the member lists themselves).
 - recovery_probability: Monte Carlo estimate of the chance that a forged
   vector equals the original, against the analytic 2**-n.
 - linkability_study: enroll synthetic users on several devices and
@@ -20,13 +21,16 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 
-from .bits import BitString, FeatureVector, random_bits, stream_rng
+from .bits import BitString, FeatureVector, random_bits, stream_draws
 from .errors import CapacityError, InvalidArgumentError
 from .transform import TransformParams, invert_value, transform, transform_value
 
 CENSUS_MAX_BITS = 24
+
+RECOVERY_CHUNK_BITS = 1 << 16
 
 _KEYED_BASELINE_NOTE = "per-device XOR mask; synthetic control, not part of the analyzed scheme"
 
@@ -68,12 +72,8 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def census_fibers(bit_length: int, block_size: int) -> "dict[int, list[int]]":
-    """Group all 2**bit_length inputs by template.
-
-    Keys and members are MSB-first integer encodings of the template and
-    input bit strings.  Refuses lengths beyond CENSUS_MAX_BITS.
-    """
+def _census_shape(bit_length: int, block_size: int) -> "tuple[int, int]":
+    """Check a census request; return (block size, block count)."""
     params = TransformParams(block_size)
     if bit_length > CENSUS_MAX_BITS:
         raise CapacityError(
@@ -83,7 +83,16 @@ def census_fibers(bit_length: int, block_size: int) -> "dict[int, list[int]]":
         raise InvalidArgumentError(
             f"census length must be a positive multiple of the block size, got {bit_length}"
         )
-    b, n = params.block_size, bit_length // params.block_size
+    return params.block_size, bit_length // params.block_size
+
+
+def census_fibers(bit_length: int, block_size: int) -> "dict[int, list[int]]":
+    """Group all 2**bit_length inputs by template.
+
+    Keys and members are MSB-first integer encodings of the template and
+    input bit strings.  Refuses lengths beyond CENSUS_MAX_BITS.
+    """
+    b, n = _census_shape(bit_length, block_size)
     # Blocks transform independently: a template is the template of the
     # leading n-1 blocks followed by the last block's row.
     rows = [transform_value(block, 1, b) for block in range(1 << b)]
@@ -99,25 +108,42 @@ def census_fibers(bit_length: int, block_size: int) -> "dict[int, list[int]]":
 
 
 def fiber_census(bit_length: int, block_size: int) -> AnalysisReport:
-    """Exhaustive fiber census over all inputs of the given length."""
-    fibers = census_fibers(bit_length, block_size)
-    sizes = {len(members) for members in fibers.values()}
+    """Exhaustive fiber census over all inputs of the given length.
+
+    Counts, for every template value, the inputs that reach it: one count
+    per input, with no member lists, so memory is one counter per template.
+    """
+    b, n = _census_shape(bit_length, block_size)
+    # Blocks transform independently, so an input's template is its leading
+    # blocks' template followed by its trailing blocks'.  The trailing half
+    # is tabulated once (at most 2^12 rows within the bound); the leading
+    # half is walked lazily.
+    tail_blocks = n // 2
+    tails = [transform_value(low, tail_blocks, b) for low in range(1 << (tail_blocks * b))]
+    shift = tail_blocks * (b - 1)
+    counts = array("I", [0]) * (1 << (n * (b - 1)))
+    for high in range(1 << ((n - tail_blocks) * b)):
+        head = transform_value(high, n - tail_blocks, b) << shift
+        for tail in tails:
+            counts[head | tail] += 1
+    sizes = set(counts)
+    sizes.discard(0)
+    distinct = len(counts) - counts.count(0)
     fiber_size = max(sizes)
-    n = bit_length // block_size
     report = AnalysisReport(
         kind="census",
         parameters={"bit_length": bit_length, "block_size": block_size},
         findings={
             "inputs": 1 << bit_length,
             "blocks": n,
-            "distinct_templates": len(fibers),
+            "distinct_templates": distinct,
             "fiber_size": fiber_size,
             "fiber_size_uniform": len(sizes) == 1,
             "impostors_per_template": fiber_size - 1,
         },
     )
     report.verdict = (
-        f"{len(fibers)} distinct templates, each reached by exactly {fiber_size} "
+        f"{distinct} distinct templates, each reached by exactly {fiber_size} "
         f"inputs; {fiber_size - 1} impostor vectors per template match exactly"
     )
     return report
@@ -142,13 +168,23 @@ def recovery_probability(
         raise InvalidArgumentError("trials must be at least 1")
     n = bit_length // block_size
     successes = 0
-    for trial in range(trials):
-        rng = stream_rng(seed, f"trial/{trial}")
-        original = rng.getrandbits(bit_length)
-        template = transform_value(original, n, block_size)
-        selector = rng.getrandbits(n)
-        if invert_value(template, n, block_size, selector) == original:
-            successes += 1
+    # Trials run in chunks of about RECOVERY_CHUNK_BITS input bits, so memory
+    # stays flat at any trial count.  A chunk's originals and selectors are
+    # concatenated in trial order, MSB-first, and pass through one kernel
+    # call each way; a trial succeeds when its slice of the difference is 0.
+    chunk = max(1, RECOVERY_CHUNK_BITS // bit_length)
+    original_spec, selector_spec, exact = f"0{bit_length}b", f"0{n}b", "0" * bit_length
+    for start in range(0, trials, chunk):
+        count = min(chunk, trials - start)
+        labels = [f"trial/{trial}" for trial in range(start, start + count)]
+        draws = stream_draws(seed, labels, (bit_length, n))
+        originals = int("".join([format(o, original_spec) for o, _ in draws]), 2)
+        selectors = int("".join([format(s, selector_spec) for _, s in draws]), 2)
+        template = transform_value(originals, count * n, block_size)
+        recovered = invert_value(template, count * n, block_size, selectors)
+        diff = format(recovered ^ originals, f"0{count * bit_length}b")
+        slices = [diff[i : i + bit_length] for i in range(0, len(diff), bit_length)]
+        successes += slices.count(exact)
     analytic = 2.0 ** -n
     empirical = successes / trials
     std_error = math.sqrt(analytic * (1.0 - analytic) / trials)

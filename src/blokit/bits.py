@@ -175,11 +175,31 @@ def hamming_distance(x: BitString, y: BitString) -> int:
     return bin(x.value ^ y.value).count("1")
 
 
+def _stream_seed(seed: int, stream: "int | str") -> int:
+    # Frozen: every seeded output in the package depends on this derivation.
+    digest = hashlib.sha256(f"{seed & _SEED_MASK}/{stream}".encode()).digest()
+    return int.from_bytes(digest, "big")
+
+
 def stream_rng(seed: int, stream: "int | str" = 0) -> random.Random:
     """A deterministic generator for (seed, stream), independent per stream."""
-    label = f"{seed & _SEED_MASK}/{stream}".encode()
-    digest = hashlib.sha256(label).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return random.Random(_stream_seed(seed, stream))
+
+
+def stream_draws(
+    seed: int, streams: "Iterable[int | str]", widths: "tuple[int, ...]"
+) -> "list[tuple[int, ...]]":
+    """Per stream, ``getrandbits(w)`` for each w in ``widths`` from ``stream_rng(seed, stream)``.
+
+    Reseeds one generator per stream instead of building a new one.
+    """
+    rng = random.Random()
+    reseed, getrandbits = rng.seed, rng.getrandbits
+    draws = []
+    for stream in streams:
+        reseed(_stream_seed(seed, stream))
+        draws.append(tuple(map(getrandbits, widths)))
+    return draws
 
 
 def random_bits(length: int, seed: int, stream: "int | str" = 0) -> BitString:
@@ -215,7 +235,11 @@ def write_bits_file(path: "str | Path", bs: BitString, wrap: int = 64) -> None:
 
 
 def read_bits_file(path: "str | Path") -> BitString:
-    return from_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    return from_text(text)
 
 
 def write_fbin_file(path: "str | Path", bs: BitString) -> None:

@@ -10,8 +10,9 @@ integers, :func:`transform_value` and its inverse :func:`invert_value`:
 one multiplication XORs every block with its pivot, and extended slices of
 the '0'/'1' text drop or insert the pivot column.  That text round trip
 costs a few microseconds at any size, more than a shift loop spends on a
-few blocks, so below a measured block count (the recovery study makes
-200,000 two-block calls) the kernels run that quadratic loop instead.
+few blocks, so below a measured block count (the census tabulates its
+rows with thousands of one- to four-block calls) the kernels run that
+quadratic loop instead.
 """
 
 from __future__ import annotations

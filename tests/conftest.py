@@ -2,8 +2,8 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 
-from blokit import BitString, FeatureVector, PaddingPolicy, TransformParams
-from blokit.transform import _TEXT_MIN_BLOCKS
+from blokit import BitString, FeatureVector, PaddingPolicy, TransformParams, stream_rng
+from blokit.transform import _TEXT_MIN_BLOCKS, invert_value, transform_value
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -71,6 +71,20 @@ def oracle_forge(template_text, b, selector_text):
         bits = [str(int(c) ^ int(sel)) for c in chunk]
         out += bits[:pivot] + [sel] + bits[pivot:]
     return "".join(out)
+
+
+def oracle_recovery_successes(bit_length, block_size, trials, seed):
+    """The recovery study one trial at a time: a fresh stream generator and
+    one transform and one inverse kernel call per trial."""
+    n = bit_length // block_size
+    successes = 0
+    for trial in range(trials):
+        rng = stream_rng(seed, f"trial/{trial}")
+        original = rng.getrandbits(bit_length)
+        template = transform_value(original, n, block_size)
+        selector = rng.getrandbits(n)
+        successes += invert_value(template, n, block_size, selector) == original
+    return successes
 
 
 # Block counts on both sides of the kernels' loop/text crossover.

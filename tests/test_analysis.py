@@ -19,8 +19,31 @@ from blokit import (
     revocability_check,
     transform,
 )
+from blokit import analysis
+
+from conftest import oracle_recovery_successes
 
 ZP = TransformParams(5)
+
+
+def census_from_fibers(bit_length, block_size):
+    """fiber_census's findings and verdict, derived from census_fibers' member lists."""
+    fibers = census_fibers(bit_length, block_size)
+    sizes = {len(members) for members in fibers.values()}
+    fiber_size = max(sizes)
+    findings = {
+        "inputs": 1 << bit_length,
+        "blocks": bit_length // block_size,
+        "distinct_templates": len(fibers),
+        "fiber_size": fiber_size,
+        "fiber_size_uniform": len(sizes) == 1,
+        "impostors_per_template": fiber_size - 1,
+    }
+    verdict = (
+        f"{len(fibers)} distinct templates, each reached by exactly {fiber_size} "
+        f"inputs; {fiber_size - 1} impostor vectors per template match exactly"
+    )
+    return findings, verdict
 
 
 class TestFiberCensus:
@@ -63,6 +86,38 @@ class TestFiberCensus:
         with pytest.raises(CapacityError):
             fiber_census(25, 5)
 
+    def test_exhaustive_at_the_bound(self):
+        f = fiber_census(24, 3).findings
+        assert f["inputs"] == 16777216
+        assert f["blocks"] == 8
+        assert f["distinct_templates"] == 65536
+        assert f["fiber_size"] == 256
+        assert f["fiber_size_uniform"] is True
+
+    @pytest.mark.parametrize(
+        "bits,block",
+        [(bits, b) for b in range(3, 12, 2) for bits in range(b, 19, b)],
+    )
+    def test_counts_equal_member_lists(self, bits, block):
+        report = fiber_census(bits, block)
+        assert (report.findings, report.verdict) == census_from_fibers(bits, block)
+
+    @pytest.mark.parametrize(
+        "bits,block,error,message",
+        [
+            (26, 4, InvalidArgumentError, "odd"),
+            (26, 1, InvalidArgumentError, "at least 3"),
+            (26, 5, CapacityError, "bound"),
+            (27, 3, CapacityError, "bound"),
+            (12, 5, InvalidArgumentError, "multiple"),
+            (3, 5, InvalidArgumentError, "multiple"),
+        ],
+    )
+    @pytest.mark.parametrize("study", [fiber_census, census_fibers])
+    def test_argument_errors_in_order(self, study, bits, block, error, message):
+        with pytest.raises(error, match=message):
+            study(bits, block)
+
     def test_indivisible_length_rejected(self):
         with pytest.raises(InvalidArgumentError):
             fiber_census(12, 5)
@@ -101,6 +156,32 @@ class TestRecoveryProbability:
         f = report.findings
         assert f["analytic_rate"] == 0.0625
         assert abs(f["empirical_rate"] - 0.0625) <= 3 * f["std_error"]
+
+
+class TestRecoveryAgainstOracle:
+    @pytest.mark.parametrize("bits,block", [(5, 5), (10, 5), (20, 5), (21, 7)])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_chunk_boundaries(self, bits, block, offset):
+        chunk = analysis.RECOVERY_CHUNK_BITS // bits
+        trials = 1 if offset is None else chunk + offset
+        report = recovery_probability(bits, block, trials=trials, seed=trials)
+        assert report.findings["successes"] == oracle_recovery_successes(
+            bits, block, trials, trials
+        )
+
+    @pytest.mark.parametrize("seed", [0, -7, 1 << 70])
+    def test_one_trial_per_chunk_above_the_chunk_size(self, seed):
+        bits = 5 * (analysis.RECOVERY_CHUNK_BITS // 5 + 1)
+        assert bits > analysis.RECOVERY_CHUNK_BITS
+        report = recovery_probability(bits, 5, trials=3, seed=seed)
+        assert report.findings["successes"] == oracle_recovery_successes(bits, 5, 3, seed)
+
+    @pytest.mark.parametrize("chunk_bits", [1, 10, 25, 64])
+    def test_small_chunks(self, monkeypatch, chunk_bits):
+        # chunks of one or a few trials, where successes are common
+        monkeypatch.setattr(analysis, "RECOVERY_CHUNK_BITS", chunk_bits)
+        report = recovery_probability(10, 5, trials=301, seed=chunk_bits)
+        assert report.findings["successes"] == oracle_recovery_successes(10, 5, 301, chunk_bits)
 
 
 class TestLinkabilityStudy:

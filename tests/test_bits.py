@@ -1,3 +1,5 @@
+import hashlib
+import random
 import re
 
 import pytest
@@ -23,6 +25,7 @@ from blokit.bits import (
     read_bits_file,
     read_fbin_file,
     read_feature,
+    stream_draws,
     write_bits_file,
     write_fbin_file,
     write_feature,
@@ -204,6 +207,23 @@ class TestRandomBits:
     def test_stream_rng_reproducible(self):
         assert stream_rng(3, "x").random() == stream_rng(3, "x").random()
 
+    @given(
+        st.one_of(st.integers(-(1 << 70), 1 << 70), st.sampled_from([-1, 1 << 64, (1 << 64) + 5])),
+        st.lists(st.one_of(st.integers(0, 10**6), st.text(max_size=12)), max_size=8),
+        st.lists(st.integers(1, 300), min_size=1, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_stream_draws_equal_stream_rng(self, seed, streams, widths):
+        draws = stream_draws(seed, streams, tuple(widths))
+        assert len(draws) == len(streams)
+        for stream, drawn in zip(streams, draws):
+            rng = stream_rng(seed, stream)
+            assert drawn == tuple(rng.getrandbits(w) for w in widths)
+            # the frozen derivation, written out: SHA-256 of "seed mod 2^64/stream"
+            label = f"{seed % (1 << 64)}/{stream}".encode()
+            frozen = random.Random(int.from_bytes(hashlib.sha256(label).digest(), "big"))
+            assert drawn[0] == frozen.getrandbits(widths[0])
+
 
 class TestBitStringBasics:
     def test_indexing_is_msb_first(self):
@@ -250,6 +270,15 @@ class TestFileCodecs:
         path.write_text("10102\n")
         with pytest.raises(MalformedInputError, match="position 4"):
             read_bits_file(path)
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe01", b"0101\x80\n", b"01\xc3"])
+    def test_bits_file_not_utf8_is_malformed(self, tmp_path, raw):
+        path = tmp_path / "f.bits"
+        path.write_bytes(raw)
+        with pytest.raises(MalformedInputError, match=re.escape(str(path))):
+            read_bits_file(path)
+        with pytest.raises(MalformedInputError, match=re.escape(str(path))):
+            read_feature(path)
 
     def test_fbin_round_trip(self, tmp_path):
         bs = random_bits(1795, 9)

@@ -286,6 +286,28 @@ class TestUsageContract:
                        "--block-size", "5", "--out", str(tmp_path / "t.blo")])
         assert outcome.exit_code == 1
 
+    def test_non_utf8_bits_file_is_error(self, tmp_path):
+        f, bad, t = tmp_path / "f.bits", tmp_path / "bad.bits", tmp_path / "t.blo"
+        root = str(tmp_path / "store")
+        ok(["gen", "--bits", "20", "--seed", "1", "--out", str(f)])
+        ok(["enroll", "--in", str(f), "--block-size", "5", "--out", str(t)])
+        ok(["store", "enroll", "--root", root, "--device", "d1", "--user", "u1",
+            "--in", str(f), "--block-size", "5"])
+        bad.write_bytes(b"\xff\xfe01")
+        for args in (
+            ["enroll", "--in", str(bad), "--block-size", "5", "--out", str(tmp_path / "x.blo")],
+            ["match", "--template", str(t), "--probe", str(bad)],
+            ["attack", "verify", "--template", str(t), "--probe", str(bad)],
+            ["store", "enroll", "--root", root, "--device", "d1", "--user", "u2",
+             "--in", str(bad), "--block-size", "5"],
+            ["store", "auth", "--root", root, "--device", "d1", "--user", "u1",
+             "--probe", str(bad)],
+        ):
+            outcome = run(args)
+            assert outcome.exit_code == 1, args
+            assert outcome.stdout == ""
+            assert outcome.stderr.startswith(f"blokit: error: {bad}: "), args
+
     def test_even_block_size_reports_error(self, tmp_path):
         f = tmp_path / "f.bits"
         f.write_text("101010\n")
