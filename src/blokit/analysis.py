@@ -114,16 +114,32 @@ def fiber_census(bit_length: int, block_size: int) -> AnalysisReport:
     per input, with no member lists, so memory is one counter per template.
     """
     b, n = _census_shape(bit_length, block_size)
-    # Blocks transform independently, so an input's template is its leading
-    # blocks' template followed by its trailing blocks'.  The trailing half
-    # is tabulated once (at most 2^12 rows within the bound); the leading
-    # half is walked lazily.
-    tail_blocks = n // 2
-    tails = [transform_value(low, tail_blocks, b) for low in range(1 << (tail_blocks * b))]
-    shift = tail_blocks * (b - 1)
+    # Each input splits into a head, walked lazily, and a tail whose templates
+    # are tabulated (at most 2^12 rows within the bound); a head's template is
+    # OR-ed with each row of its tail table to index the counts.
+    if n > 1:
+        # Blocks transform independently: the head is the leading blocks and
+        # the tail the trailing n // 2 blocks.
+        tail_blocks = n // 2
+        tails = [transform_value(low, tail_blocks, b) for low in range(1 << (tail_blocks * b))]
+        shift = tail_blocks * (b - 1)
+        heads = (
+            (transform_value(high, n - tail_blocks, b) << shift, tails)
+            for high in range(1 << ((n - tail_blocks) * b))
+        )
+    else:
+        # One block splits after its pivot: the head is the bits up to and
+        # including the pivot, the tail the bits after it.  The pivot is XORed
+        # into both halves and dropped, so each pivot value has its own table.
+        p = (b - 1) // 2
+        ones = (1 << p) - 1
+        tables = (range(1 << p), [low ^ ones for low in range(1 << p)])
+        heads = (
+            (((high >> 1) ^ (ones * (high & 1))) << p, tables[high & 1])
+            for high in range(1 << (p + 1))
+        )
     counts = array("I", [0]) * (1 << (n * (b - 1)))
-    for high in range(1 << ((n - tail_blocks) * b)):
-        head = transform_value(high, n - tail_blocks, b) << shift
+    for head, tails in heads:
         for tail in tails:
             counts[head | tail] += 1
     sizes = set(counts)

@@ -146,7 +146,7 @@ def from_text(text: str) -> BitString:
     """
     digits = "".join(text.split())
     # Checked here because int() would also take '_', '+', '0b' and non-ASCII digits.
-    if digits.count("0") + digits.count("1") != len(digits):
+    if not digits.isascii() or digits.encode("ascii").translate(None, b"01"):
         pos = next(i for i, ch in enumerate(text) if ch not in "01" and not ch.isspace())
         raise MalformedInputError(f"invalid character {text[pos]!r} at position {pos}")
     return BitString(int(digits or "0", 2), len(digits))

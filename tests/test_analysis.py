@@ -96,11 +96,25 @@ class TestFiberCensus:
 
     @pytest.mark.parametrize(
         "bits,block",
-        [(bits, b) for b in range(3, 12, 2) for bits in range(b, 19, b)],
+        # (13, 13) adds the largest single block that census_fibers lists quickly.
+        [(bits, b) for b in range(3, 12, 2) for bits in range(b, 19, b)] + [(13, 13)],
     )
     def test_counts_equal_member_lists(self, bits, block):
         report = fiber_census(bits, block)
         assert (report.findings, report.verdict) == census_from_fibers(bits, block)
+
+    def test_single_block_without_a_kernel_call_per_input(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        kernel = analysis.transform_value
+        monkeypatch.setattr(analysis, "transform_value", counted)
+        report = fiber_census(13, 13)
+        assert report.findings["distinct_templates"] == 1 << 12
+        assert len(calls) < 1 << 13
 
     @pytest.mark.parametrize(
         "bits,block,error,message",

@@ -96,6 +96,36 @@ class TestFromTextAgainstOracle:
         with pytest.raises(MalformedInputError, match=f"at position {len(good)}$"):
             from_text(good + bad + tail)
 
+    @staticmethod
+    def large_text():
+        """70,000 random digits in 64-digit CRLF lines, two holding Unicode whitespace."""
+        digits = random_bits(70_000, 16).to_text()
+        lines = [digits[i : i + 64] for i in range(0, len(digits), 64)]
+        lines[10] = lines[10][:20] + "\x1c" + lines[10][20:]
+        lines[700] = lines[700][:33] + "\u3000" + lines[700][33:]
+        text = "\r\n".join(lines) + "\r\n"
+        assert len(text) >= 1 << 16
+        return text
+
+    def test_large_text_matches_oracle(self):
+        text = self.large_text()
+        digits = [int(ch) for ch in text if not ch.isspace()]
+        bs = from_text(text)
+        assert (bs.length, list(bs)) == (len(digits), digits)
+
+    @pytest.mark.parametrize("bad", ["_", "+", "\u0661"])
+    def test_large_text_bad_last_character_is_named_at_its_offset(self, bad):
+        text = self.large_text() + bad
+        message = f"invalid character {bad!r} at position {len(text) - 1}"
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+            from_text(text)
+
+    def test_large_bits_file_round_trips_through_read_feature(self, tmp_path):
+        bs = random_bits(1 << 18, 18)
+        path = tmp_path / "large.bits"
+        write_feature(path, FeatureVector(bs))
+        assert read_feature(path).data == bs
+
 
 class TestFromBitsAndIter:
     @settings(max_examples=300)
