@@ -15,6 +15,9 @@ templates themselves are the vulnerability.
 
 from __future__ import annotations
 
+import errno
+import os
+import stat
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +33,7 @@ from .matcher import MatchDecision, match_templates
 from .transform import (
     ProtectedTemplate,
     TransformParams,
-    read_template_file,
+    decode_template,
     transform,
     write_template_file,
 )
@@ -38,6 +41,11 @@ from .transform import (
 MANIFEST_NAME = "manifest.tsv"
 
 _FORBIDDEN_ID_CHARS = set('/\\\t\n\r\x00')
+
+# The errnos that Path.exists and Path.is_file read as "no file there" (Python 3.10-3.13).
+_ABSENT_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
+# Opening a socket, or a device with no driver, fails with ENXIO: not a regular file either.
+_NO_FILE_ERRNOS = _ABSENT_ERRNOS | {errno.ENXIO}
 
 
 @dataclass(frozen=True)
@@ -81,8 +89,12 @@ def _manifest_line(e: ManifestEntry) -> str:
 
 
 def _check_id(kind: str, value: str) -> None:
-    if not value or value in (".", "..") or any(c in _FORBIDDEN_ID_CHARS for c in value):
+    if not value or value in (".", "..") or not _FORBIDDEN_ID_CHARS.isdisjoint(value):
         raise InvalidArgumentError(f"malformed {kind} id: {value!r}")
+
+
+def _not_enrolled(device_id: str, user_id: str) -> RecordNotFoundError:
+    return RecordNotFoundError(f"no enrollment for device={device_id} user={user_id}")
 
 
 class TemplateStore:
@@ -151,11 +163,30 @@ class TemplateStore:
     def load_template(self, device_id: str, user_id: str) -> ProtectedTemplate:
         _check_id("device", device_id)
         _check_id("user", user_id)
-        self._require_root()
-        path = self.root / device_id / f"{user_id}.blo"
-        if not path.is_file():
-            raise RecordNotFoundError(f"no enrollment for device={device_id} user={user_id}")
-        return read_template_file(path)
+        root = str(self.root)
+        # The text of self.root / device_id / name, which drops a "." root.
+        path = os.path.join(root if root != "." else "", device_id, f"{user_id}.blo")
+        try:
+            # O_NONBLOCK: a FIFO opens at once, then fails the regular-file check.
+            fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        except (OSError, ValueError) as exc:
+            # Only now tell a missing root from a missing pair.  A NUL or an
+            # unencodable character (ValueError) names no file either.
+            self._require_root()
+            if isinstance(exc, OSError) and exc.errno not in _NO_FILE_ERRNOS:
+                raise
+            raise _not_enrolled(device_id, user_id) from None
+        try:
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode):
+                raise _not_enrolled(device_id, user_id)
+            raw = os.read(fd, st.st_size + 1)
+            if len(raw) != st.st_size:  # a short read, or the file changed: read on to EOF
+                with open(fd, "rb", buffering=0, closefd=False) as f:
+                    raw += f.readall()
+        finally:
+            os.close(fd)
+        return decode_template(raw, path)
 
     def authenticate(
         self, device_id: str, user_id: str, probe: FeatureVector, threshold: float = 1.0
@@ -168,9 +199,20 @@ class TemplateStore:
     def list_records(self) -> "list[ManifestEntry]":
         """Manifest entries in manifest order; empty store gives an empty list."""
         self._require_root()
-        if not self.manifest_path.exists():
-            return []
-        text = self.manifest_path.read_text(encoding="utf-8")
+        try:
+            with open(self.manifest_path, "rb") as f:
+                raw = f.read()
+        except OSError as exc:
+            if exc.errno in _ABSENT_ERRNOS:  # no manifest yet: an empty store
+                return []
+            raise
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # Lines counted as splitlines() below counts them, so the number
+            # agrees with from_line's; "?" stands in for the bad byte.
+            line_no = len((raw[: exc.start].decode("utf-8") + "?").splitlines())
+            raise ManifestError(line_no, f"not UTF-8 text (byte {exc.start})") from exc
         return [
             ManifestEntry.from_line(line, line_no)
             for line_no, line in enumerate(text.splitlines(), start=1)

@@ -216,16 +216,22 @@ def write_template_file(path: "str | Path", tpl: ProtectedTemplate) -> None:
 
 
 def read_template_file(path: "str | Path") -> ProtectedTemplate:
-    raw = Path(path).read_bytes()
+    # Opened as a Path, so an OSError names the normalised path ("t.blo" for "./t.blo").
+    with open(Path(path), "rb") as f:
+        return decode_template(f.read(), path)
+
+
+def decode_template(raw: bytes, source: "str | Path") -> ProtectedTemplate:
+    """Decode the '.blo' codec; a MalformedInputError names ``source``."""
     if len(raw) < 16 or raw[:4] != BLO_MAGIC:
-        raise MalformedInputError(f"{path}: not a template file (bad magic)")
+        raise MalformedInputError(f"{source}: not a template file (bad magic)")
     _, version, policy_byte, block_size, original_length, data_bits = struct.unpack(
         ">4sBBHII", raw[:16]
     )
     if version != BLO_VERSION:
-        raise MalformedInputError(f"{path}: unsupported version {version}")
+        raise MalformedInputError(f"{source}: unsupported version {version}")
     if policy_byte not in _BYTE_POLICY:
-        raise MalformedInputError(f"{path}: unknown padding policy byte {policy_byte:#x}")
+        raise MalformedInputError(f"{source}: unknown padding policy byte {policy_byte:#x}")
     try:
         params = TransformParams(block_size, _BYTE_POLICY[policy_byte])
         data = BitString.unpack(raw[16:], data_bits)
@@ -240,4 +246,4 @@ def read_template_file(path: "str | Path") -> ProtectedTemplate:
             block_count=data_bits // (block_size - 1),
         )
     except InvalidArgumentError as exc:
-        raise MalformedInputError(f"{path}: {exc}") from exc
+        raise MalformedInputError(f"{source}: {exc}") from exc

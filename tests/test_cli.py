@@ -233,6 +233,24 @@ class TestStoreCommands:
         assert run(["store", "auth", "--root", str(root), "--device", "d1", "--user", "u1",
                     "--probe", str(f2)]).exit_code == 2
 
+    def test_non_utf8_manifest_is_one_line_error(self, tmp_path):
+        root = tmp_path / "store"
+        f = tmp_path / "f.bits"
+        ok(["gen", "--bits", "20", "--seed", "1", "--out", str(f)])
+        ok(["store", "enroll", "--root", str(root), "--device", "d1", "--user", "u1",
+            "--in", str(f), "--block-size", "5"])
+        manifest = root / "manifest.tsv"
+        head = manifest.read_bytes()
+        manifest.write_bytes(head + b"d1\tu\xff\n")
+        error = f"blokit: error: manifest line 2: not UTF-8 text (byte {len(head) + 4})\n"
+        for args in (
+            ["store", "list", "--root", str(root)],
+            ["store", "enroll", "--root", str(root), "--device", "d1", "--user", "u2",
+             "--in", str(f), "--block-size", "5"],
+        ):
+            outcome = run(args)
+            assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (1, "", error), args
+
 
 HELP_TARGETS = [
     [],
