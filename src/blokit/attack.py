@@ -7,7 +7,7 @@ n blocks has a fiber of exactly 2**n feature vectors, all enumerable from
 the template alone.  No auxiliary information is needed.
 
 Blocks and whole templates are inverted by ``transform.invert_value``, the
-inverse half of the transform's linear kernel pair (see that module).
+inverse half of the transform's kernel pair (see that module).
 """
 
 from __future__ import annotations

@@ -253,8 +253,10 @@ def read_fbin_file(path: "str | Path") -> BitString:
     raw = Path(path).read_bytes()
     if len(raw) < 8 or raw[:4] != FBIN_MAGIC:
         raise MalformedInputError(f"{path}: not a packed feature file (bad magic)")
-    length = int.from_bytes(raw[4:8], "big")
-    return BitString.unpack(raw[8:], length)
+    try:
+        return BitString.unpack(raw[8:], int.from_bytes(raw[4:8], "big"))
+    except MalformedInputError as exc:
+        raise MalformedInputError(f"{path}: {exc}") from exc
 
 
 def read_feature(path: "str | Path") -> FeatureVector:

@@ -40,7 +40,8 @@ from .transform import (
 
 MANIFEST_NAME = "manifest.tsv"
 
-_FORBIDDEN_ID_CHARS = set('/\\\t\n\r\x00')
+# Path separators, the field separator, NUL and every line break str.splitlines splits on.
+_FORBIDDEN_ID_CHARS = set('/\\\t\x00\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029')
 
 # The errnos that Path.exists and Path.is_file read as "no file there" (Python 3.10-3.13).
 _ABSENT_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})

@@ -5,19 +5,19 @@ mapped to b-1 bits by XORing every bit with the middle (pivot) bit and
 dropping the pivot; the outputs are concatenated into the protected
 template.  The map is deterministic and keyless.
 
-All bit-level work goes through one linear kernel pair on MSB-first
-integers, :func:`transform_value` and its inverse :func:`invert_value`:
-one multiplication XORs every block with its pivot, and extended slices of
-the '0'/'1' text drop or insert the pivot column.  That text round trip
-costs a few microseconds at any size, more than a shift loop spends on a
-few blocks, so below a measured block count (the census tabulates its
-rows with thousands of one- to four-block calls) the kernels run that
-quadratic loop instead.
+All bit-level work goes through one kernel pair on MSB-first integers,
+:func:`transform_value` and its inverse :func:`invert_value`, built from
+whole-value integer operations only: one multiplication XORs every block
+with its pivot, two masked operations drop or insert the pivot column, and
+about log2(block count) masked shifts close or open the one-bit gaps
+between blocks.  The masks depend only on the block count and size and
+are cached for the last few shapes.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,53 +118,58 @@ def _coerce(fv: "FeatureVector | BitString") -> BitString:
     return fv.data if isinstance(fv, FeatureVector) else fv
 
 
-# Timed per call (min of 9 x 5,000 calls, two passes, Python 3.11.7, 2-core
-# x86-64, b = 3..17, 1-32 blocks), the text path wins from 4-8 blocks for the
-# transform and from 10-13 (b <= 5) to 31 or beyond 32 (b >= 15) for the inverse.
-_TEXT_MIN_BLOCKS = 16
+def _tile(pattern: int, period: int, length: int) -> int:
+    """``pattern`` repeated every ``period`` bits over ``length`` bits, by doubling."""
+    while period < length:
+        pattern |= pattern << period
+        period *= 2
+    return pattern & ((1 << length) - 1)
 
 
-def _pivot_flip(value: int, nblocks: int, b: int) -> int:
-    # XOR each block's non-pivot bits with its pivot: one carry-free product
-    # spreads every pivot over its own block.  The map is its own inverse.
-    pivot = (b - 1) // 2
-    block_lsbs = ((1 << (nblocks * b)) - 1) // ((1 << b) - 1)  # base-2^b repunit
-    return value ^ (((value >> pivot) & block_lsbs) * (((1 << b) - 1) ^ (1 << pivot)))
+# Block i (counted from the least significant end) of the pivot-free value
+# sits at bit i*b and moves to bit i*(b-1).  Compaction round j moves the
+# blocks whose index has bit j set by 2^j: before it, the blocks sit in
+# packed groups of 2^j at multiples of 2^j*b, and its mask holds every odd
+# group, which closes up to the even group below it.  The inverse runs the
+# rounds backwards with left shifts and spreads the selector (bit i to bit
+# i*b) alongside through the same masks: shifted left by 2^j*(b-1), the
+# selector's odd groups land on the first bits of the masked groups and its
+# even groups on no masked bit.
+@functools.lru_cache(maxsize=4)
+def _kernel_masks(nblocks: int, b: int) -> tuple:
+    """Pivot index and spread, block LSBs, the masks below and above the pivot, and
+    (shift, selector shift, odd-group mask) per compaction round."""
+    p, w, length = (b - 1) // 2, b - 1, nblocks * b
+    block_lsbs, ones = _tile(1, b, length), (1 << p) - 1
+    sizes = [1 << j for j in range((nblocks - 1).bit_length())]  # 1, 2, 4, ... below nblocks
+    rounds = tuple((s, s * w, _tile(((1 << s * w) - 1) << s * b, 2 * s * b, length)) for s in sizes)
+    spread = ((1 << b) - 1) ^ (1 << p)
+    return p, spread, block_lsbs, block_lsbs * ones, block_lsbs * (ones << p), rounds
 
 
 def transform_value(value: int, nblocks: int, b: int) -> int:
     """The template of ``nblocks`` aligned b-bit blocks, both MSB-first integers."""
-    p, w = (b - 1) // 2, b - 1  # the pivot sits p bits from either end
-    if nblocks < _TEXT_MIN_BLOCKS:
-        block_mask, out_mask, low_mask = (1 << b) - 1, (1 << w) - 1, (1 << p) - 1
-        out = 0
-        for i in range(nblocks - 1, -1, -1):
-            block = (value >> (i * b)) & block_mask
-            merged = ((block >> (p + 1)) << p) | (block & low_mask)
-            out |= (merged ^ out_mask if (block >> p) & 1 else merged) << (i * w)
-        return out
-    text = bytearray(format(_pivot_flip(value, nblocks, b), f"0{nblocks * b}b"), "ascii")
-    del text[p::b]
-    return int(text, 2)
+    p, spread, block_lsbs, low, high, rounds = _kernel_masks(nblocks, b)
+    # One carry-free product spreads every pivot over its own block.
+    x = value ^ ((value >> p) & block_lsbs) * spread
+    x = (x & low) | ((x >> 1) & high)
+    for shift, _, odd_groups in rounds:
+        t = x & odd_groups
+        x ^= t ^ (t >> shift)
+    return x
 
 
 def invert_value(template: int, nblocks: int, b: int, selector: int) -> int:
     """The preimage of a template whose block k takes selector bit k (MSB-first) as pivot."""
-    p, w = (b - 1) // 2, b - 1
-    if nblocks < _TEXT_MIN_BLOCKS:
-        out_mask, low_mask = (1 << w) - 1, (1 << p) - 1
-        value = 0
-        for i in range(nblocks - 1, -1, -1):
-            pivot = (selector >> i) & 1
-            out = ((template >> (i * w)) & out_mask) ^ (out_mask * pivot)
-            value |= (((out >> p) << (p + 1)) | (pivot << p) | (out & low_mask)) << (i * b)
-        return value
-    outs = format(template, f"0{nblocks * w}b").encode("ascii")
-    text = bytearray(nblocks * b)
-    text[p::b] = format(selector, f"0{nblocks}b").encode("ascii")
-    for j in range(p):
-        text[j::b], text[p + 1 + j :: b] = outs[j::w], outs[p + j :: w]
-    return _pivot_flip(int(text, 2), nblocks, b)
+    _, _, _, low, high, rounds = _kernel_masks(nblocks, b)
+    x = template
+    for shift, selector_shift, odd_groups in reversed(rounds):
+        t = (x << shift) & odd_groups
+        x ^= t ^ (t >> shift)
+        t = (selector << selector_shift) & odd_groups
+        selector ^= t ^ (t >> selector_shift)
+    # The pivot-0 preimage, with every block whose selector bit is 1 complemented.
+    return ((x & low) | ((x & high) << 1)) ^ selector * ((1 << b) - 1)
 
 
 def segment(fv: "FeatureVector | BitString", params: TransformParams) -> "list[BitString]":
@@ -245,5 +250,5 @@ def decode_template(raw: bytes, source: "str | Path") -> ProtectedTemplate:
             original_length=original_length,
             block_count=data_bits // (block_size - 1),
         )
-    except InvalidArgumentError as exc:
+    except (InvalidArgumentError, MalformedInputError) as exc:
         raise MalformedInputError(f"{source}: {exc}") from exc

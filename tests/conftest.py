@@ -3,7 +3,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 
 from blokit import BitString, FeatureVector, PaddingPolicy, TransformParams, stream_rng
-from blokit.transform import _TEXT_MIN_BLOCKS, invert_value, transform_value
+from blokit.transform import invert_value, transform_value
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -87,9 +87,10 @@ def oracle_recovery_successes(bit_length, block_size, trials, seed):
     return successes
 
 
-# Block counts on both sides of the kernels' loop/text crossover.
+# Block counts around every change in the kernels' number of compaction
+# rounds (ceil(log2 n)): 2^k - 1, 2^k and 2^k + 1 blocks for k up to 10.
 kernel_block_counts = st.one_of(
-    st.sampled_from([1, _TEXT_MIN_BLOCKS - 1, _TEXT_MIN_BLOCKS, _TEXT_MIN_BLOCKS + 1]),
+    st.sampled_from(sorted({n for k in range(1, 11) for n in (2**k - 1, 2**k, 2**k + 1)})),
     st.integers(2, 300),
 )
 

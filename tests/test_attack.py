@@ -109,7 +109,7 @@ class TestForge:
 
 
 class TestInverseAgainstOracle:
-    """The inverse kernel and its small-input loop against the bitwise definition."""
+    """The inverse kernel against the bitwise definition."""
 
     @settings(max_examples=400, deadline=None)
     @given(kernel_features(), st.data())

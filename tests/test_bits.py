@@ -332,3 +332,56 @@ class TestFileCodecs:
         for name in ("f.bits", "f.fbin"):
             write_feature(tmp_path / name, fv)
             assert read_feature(tmp_path / name).data == fv.data
+
+
+# Byte strings that trip decoders: non-UTF-8 lead and continuation bytes,
+# whitespace and line breaks outside ASCII, characters int() would accept as
+# digits or signs, and NUL.
+TRICKY_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xc2\xa0", "\u2028".encode(), "\u0663".encode(),
+                b"_", b"+", b"0b", b" ", b"\t", b"\r\n", b"\x00"]
+U32_EDGES = [0, 1, 7, 8, 9, 2**31, 2**32 - 1]
+
+
+@st.composite
+def mutated_feature_file(draw, suffix):
+    """A valid '.bits' or '.fbin' encoding after up to three random mutations."""
+    bs = draw(bit_strings(1, 80))
+    if suffix == ".fbin":
+        length = draw(st.sampled_from([bs.length] * 4 + U32_EDGES + [bs.length - 1, bs.length + 1]))
+        raw = bytearray(b"FBV1" + length.to_bytes(4, "big") + bs.pack())
+    else:
+        raw = bytearray(bs.to_text().encode("ascii") + b"\n")
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["flip", "truncate", "extend", "insert", "insert"]))
+        at = draw(st.integers(0, len(raw)))
+        if op == "flip" and at < len(raw):
+            raw[at] ^= 1 << draw(st.integers(0, 7))
+        elif op == "truncate":
+            del raw[at:]
+        elif op == "extend":
+            raw += draw(st.binary(min_size=1, max_size=8))
+        elif op == "insert":
+            raw[at:at] = draw(st.sampled_from(TRICKY_BYTES))
+    return bytes(raw)
+
+
+class TestFeatureFileFuzz:
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @pytest.mark.parametrize("suffix", [".bits", ".fbin"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutations_decode_or_raise_malformed(self, fuzz_dir, suffix, data):
+        raw = data.draw(mutated_feature_file(suffix))
+        path = fuzz_dir / f"f{suffix}"
+        path.write_bytes(raw)
+        try:
+            fv = read_feature(path)
+        except MalformedInputError:
+            return
+        if suffix == ".fbin":
+            assert fv.data.length == int.from_bytes(raw[4:8], "big")
+        else:
+            assert fv.data.to_text() == "".join(raw.decode("utf-8").split())

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from blokit import cli, from_text, read_template_file
-from blokit.bits import read_bits_file
+from blokit import MalformedInputError, cli, from_text, read_template_file
+from blokit.bits import read_bits_file, read_feature
 from blokit.cli import run
 
 from conftest import TABLE_B5_FIXTURE
@@ -250,6 +250,45 @@ class TestStoreCommands:
         ):
             outcome = run(args)
             assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (1, "", error), args
+
+    @pytest.mark.parametrize("change", ["truncate", "extend"])
+    def test_payload_size_errors_name_the_file(self, tmp_path, change):
+        f, t, fbin = tmp_path / "f.bits", tmp_path / "t.blo", tmp_path / "f.fbin"
+        root = tmp_path / "store"
+        ok(["gen", "--bits", "1795", "--seed", "3", "--out", str(f)])
+        ok(["gen", "--bits", "1795", "--seed", "3", "--out", str(fbin)])
+        ok(["enroll", "--in", str(f), "--block-size", "5", "--out", str(t)])
+        ok(["store", "enroll", "--root", str(root), "--device", "d1", "--user", "alice",
+            "--in", str(f), "--block-size", "5"])
+        stored = root / "d1" / "alice.blo"
+        bad_t, bad_fbin = tmp_path / "bad.blo", tmp_path / "bad.fbin"
+        for good, bad in [(t, bad_t), (fbin, bad_fbin), (stored, stored)]:
+            raw = good.read_bytes()
+            bad.write_bytes(raw[:-1] if change == "truncate" else raw + b"\0")
+        blo_bytes, fbin_bytes = {"truncate": (179, 224), "extend": (181, 226)}[change]
+
+        def blo_error(path):
+            return f"{path}: packed payload is {blo_bytes} bytes, expected 180 for 1436 bits"
+
+        def fbin_error(path):
+            return f"{path}: packed payload is {fbin_bytes} bytes, expected 225 for 1795 bits"
+
+        auth = ["store", "auth", "--root", str(root), "--device", "d1", "--user", "alice"]
+        for args, error in [
+            (auth + ["--probe", str(f)], blo_error(stored)),
+            (["match", "--template", str(bad_t), "--probe", str(f)], blo_error(bad_t)),
+            (["match", "--template", str(t), "--probe", str(bad_fbin)], fbin_error(bad_fbin)),
+            (["attack", "verify", "--template", str(bad_t), "--probe", str(f)], blo_error(bad_t)),
+        ]:
+            outcome = run(args)
+            assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (
+                1, "", f"blokit: error: {error}\n"), args
+        stored.write_bytes(t.read_bytes())
+        outcome = run(auth + ["--probe", str(bad_fbin)])
+        assert outcome.stderr == f"blokit: error: {fbin_error(bad_fbin)}\n"
+        with pytest.raises(MalformedInputError) as exc:
+            read_feature(bad_fbin)
+        assert str(exc.value) == fbin_error(bad_fbin)
 
 
 HELP_TARGETS = [

@@ -64,13 +64,22 @@ class TestEnroll:
         f2 = (tmp_path / "d2" / "alice.blo").read_bytes()
         assert f1 == f2
 
-    @pytest.mark.parametrize("bad", ["", "a/b", "a\\b", "..", ".", "a\tb", "a\nb"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "a/b", "a\\b", "..", ".", "a\tb", "a\nb", "a\rb", "a\vb", "a\fb", "a\x1cb",
+         "a\x1db", "a\x1eb", "a\x85b", "a\u2028b", "a\u2029b"],
+    )
     def test_malformed_ids_rejected(self, store, bad):
         fv = FeatureVector(random_bits(10, 1))
+        store.enroll(record("d1", "alice", fv))
         with pytest.raises(InvalidArgumentError):
             store.enroll(record(bad, "alice", fv))
         with pytest.raises(InvalidArgumentError):
             store.enroll(record("d1", bad, fv))
+        # Nothing was written: the manifest still parses and takes new pairs.
+        store.enroll(record("d1", "bob", fv))
+        assert [(e.device_id, e.user_id) for e in store.list_records()] == [
+            ("d1", "alice"), ("d1", "bob")]
 
     def test_missing_root_is_storage_error(self, tmp_path):
         store = TemplateStore(tmp_path / "nope")

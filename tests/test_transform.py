@@ -12,6 +12,7 @@ from blokit import (
     TransformParams,
     complement,
     enumerate_preimages,
+    forge,
     from_text,
     random_bits,
     read_template_file,
@@ -20,12 +21,14 @@ from blokit import (
     transform_block,
     write_template_file,
 )
+from blokit.transform import _kernel_masks
 
 from conftest import (
     bit_strings,
     block_multiple_features,
     every_odd_block_size,
     kernel_features,
+    oracle_forge,
     oracle_transform,
     transform_params,
 )
@@ -173,7 +176,7 @@ class TestTransform:
 
 
 class TestKernelAgainstOracle:
-    """The linear kernel and its small-input loop against the bitwise definition."""
+    """The log-step kernel pair against the bitwise definition."""
 
     @settings(max_examples=400, deadline=None)
     @given(kernel_features())
@@ -208,6 +211,26 @@ class TestKernelAgainstOracle:
         for b in (3, 5, 17):
             tpl = transform(bs, TransformParams(b, padding))
             assert tpl.data.to_text() == oracle_transform(bs.to_text(), b, padding)
+
+    @pytest.mark.parametrize("b", [5, 17])
+    def test_2_to_the_18_bits_match_oracles(self, b):
+        bs = random_bits(262_140, b)
+        tpl = transform(bs, TransformParams(b))
+        assert tpl.data.to_text() == oracle_transform(bs.to_text(), b)
+        selector = random_bits(tpl.block_count, b + 1)
+        forged = forge(tpl, selector)
+        assert forged.data.to_text() == oracle_forge(tpl.data.to_text(), b, selector.to_text())
+
+    def test_cold_mask_cache_matches_oracles(self):
+        _kernel_masks.cache_clear()
+        bs = random_bits(20_003, 16)
+        tpl = transform(bs, TransformParams(7))
+        assert tpl.data.to_text() == oracle_transform(bs.to_text(), 7)
+        selector = random_bits(tpl.block_count, 17)
+        forged = forge(tpl, selector)
+        assert forged.data.to_text() == oracle_forge(tpl.data.to_text(), 7, selector.to_text())
+        # The transform built the masks cold; the forge of the same shape reused them.
+        assert (_kernel_masks.cache_info().misses, _kernel_masks.cache_info().hits) == (1, 1)
 
 
 class TestProtectedTemplateInvariants:
