@@ -19,10 +19,12 @@ deterministic for a given seed no matter how trials are scheduled.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from array import array
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 from .bits import BitString, FeatureVector, random_bits, stream_draws
 from .errors import CapacityError, InvalidArgumentError
@@ -72,8 +74,16 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _census_shape(bit_length: int, block_size: int) -> "tuple[int, int]":
-    """Check a census request; return (block size, block count)."""
+def _census_split(bit_length: int, block_size: int) -> "tuple[int, Iterator[int], list[int]]":
+    """Check a census request; return (block count, head templates, tail templates).
+
+    Every template bit is x_i ^ x_pivot, so the transform is linear over XOR:
+    an input ``high << s | low`` has the template ``T(high << s) ^ T(low)``.
+    With s = bit_length // 2, each input's template is one head XOR one tail,
+    heads in ascending ``high`` (walked lazily) and tails in ascending ``low``
+    (a table of at most 2^12 entries within the bound), so walking every tail
+    for every head visits the inputs in ascending order.
+    """
     params = TransformParams(block_size)
     if bit_length > CENSUS_MAX_BITS:
         raise CapacityError(
@@ -83,7 +93,10 @@ def _census_shape(bit_length: int, block_size: int) -> "tuple[int, int]":
         raise InvalidArgumentError(
             f"census length must be a positive multiple of the block size, got {bit_length}"
         )
-    return params.block_size, bit_length // params.block_size
+    b, n, s = params.block_size, bit_length // params.block_size, bit_length // 2
+    tails = [transform_value(low, n, b) for low in range(1 << s)]
+    heads = (transform_value(high << s, n, b) for high in range(1 << (bit_length - s)))
+    return n, heads, tails
 
 
 def census_fibers(bit_length: int, block_size: int) -> "dict[int, list[int]]":
@@ -92,13 +105,11 @@ def census_fibers(bit_length: int, block_size: int) -> "dict[int, list[int]]":
     Keys and members are MSB-first integer encodings of the template and
     input bit strings.  Refuses lengths beyond CENSUS_MAX_BITS.
     """
-    b, n = _census_shape(bit_length, block_size)
-    # Blocks transform independently: a template is the template of the
-    # leading n-1 blocks followed by the last block's row.
-    rows = [transform_value(block, 1, b) for block in range(1 << b)]
-    heads = [transform_value(high, n - 1, b) << (b - 1) for high in range(1 << (bit_length - b))]
+    _, heads, tails = _census_split(bit_length, block_size)
+    # Input high << s | low has template head ^ tail (see _census_split); the
+    # walk visits inputs in ascending order, so enumerate pairs each with its input.
     fibers: "dict[int, list[int]]" = {}
-    for value, tpl in enumerate(head | row for head in heads for row in rows):
+    for value, tpl in enumerate(head ^ tail for head in heads for tail in tails):
         members = fibers.get(tpl)
         if members is None:
             fibers[tpl] = [value]
@@ -113,35 +124,13 @@ def fiber_census(bit_length: int, block_size: int) -> AnalysisReport:
     Counts, for every template value, the inputs that reach it: one count
     per input, with no member lists, so memory is one counter per template.
     """
-    b, n = _census_shape(bit_length, block_size)
-    # Each input splits into a head, walked lazily, and a tail whose templates
-    # are tabulated (at most 2^12 rows within the bound); a head's template is
-    # OR-ed with each row of its tail table to index the counts.
-    if n > 1:
-        # Blocks transform independently: the head is the leading blocks and
-        # the tail the trailing n // 2 blocks.
-        tail_blocks = n // 2
-        tails = [transform_value(low, tail_blocks, b) for low in range(1 << (tail_blocks * b))]
-        shift = tail_blocks * (b - 1)
-        heads = (
-            (transform_value(high, n - tail_blocks, b) << shift, tails)
-            for high in range(1 << ((n - tail_blocks) * b))
-        )
-    else:
-        # One block splits after its pivot: the head is the bits up to and
-        # including the pivot, the tail the bits after it.  The pivot is XORed
-        # into both halves and dropped, so each pivot value has its own table.
-        p = (b - 1) // 2
-        ones = (1 << p) - 1
-        tables = (range(1 << p), [low ^ ones for low in range(1 << p)])
-        heads = (
-            (((high >> 1) ^ (ones * (high & 1))) << p, tables[high & 1])
-            for high in range(1 << (p + 1))
-        )
-    counts = array("I", [0]) * (1 << (n * (b - 1)))
-    for head, tails in heads:
+    n, heads, tails = _census_split(bit_length, block_size)
+    # Each input's template is one head XOR one tail (see _census_split): one
+    # kernel call per head and per tail, not per input.
+    counts = array("I", [0]) * (1 << (bit_length - n))
+    for head in heads:
         for tail in tails:
-            counts[head | tail] += 1
+            counts[head ^ tail] += 1
     sizes = set(counts)
     sizes.discard(0)
     distinct = len(counts) - counts.count(0)
@@ -229,6 +218,16 @@ def recovery_probability(
     return report
 
 
+def _match_rate(groups: "Iterable[Sequence[BitString]]") -> float:
+    """Fraction of equal payload pairs, over the pairs within each group."""
+    pairs = matches = 0
+    for group in groups:
+        for first, second in itertools.combinations(group, 2):
+            pairs += 1
+            matches += first == second
+    return matches / pairs
+
+
 def linkability_study(
     users: int,
     devices: int,
@@ -272,24 +271,6 @@ def linkability_study(
     if masks is not None:
         stored = [[plain[u][d] ^ masks[d] for d in range(devices)] for u in range(users)]
 
-    def link_rate(payloads: "list[list[BitString]]") -> float:
-        pairs = matches = 0
-        for u in range(users):
-            for d1 in range(devices):
-                for d2 in range(d1 + 1, devices):
-                    pairs += 1
-                    matches += payloads[u][d1] == payloads[u][d2]
-        return matches / pairs
-
-    def collision_rate(payloads: "list[list[BitString]]") -> float:
-        pairs = matches = 0
-        for d in range(devices):
-            for u1 in range(users):
-                for u2 in range(u1 + 1, users):
-                    pairs += 1
-                    matches += payloads[u1][d] == payloads[u2][d]
-        return matches / pairs
-
     report = AnalysisReport(
         kind="linkability",
         parameters={
@@ -305,12 +286,13 @@ def linkability_study(
             "template_bits": length,
             "same_user_pairs": users * devices * (devices - 1) // 2,
             "cross_user_pairs": devices * users * (users - 1) // 2,
-            "link_rate": link_rate(plain),
-            "cross_user_collision_rate": collision_rate(plain),
+            # Rows are users (same-user pairs), columns devices (cross-user pairs).
+            "link_rate": _match_rate(plain),
+            "cross_user_collision_rate": _match_rate(zip(*plain)),
         },
     )
     if masks is not None:
-        report.findings["keyed_link_rate"] = link_rate(stored)
+        report.findings["keyed_link_rate"] = _match_rate(stored)
         report.findings["keyed_baseline_note"] = _KEYED_BASELINE_NOTE
     report.verdict = (
         f"same-user templates matched across devices at rate {report.findings['link_rate']!r}: "

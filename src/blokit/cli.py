@@ -208,9 +208,15 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
+def _synthetic_feature(ns: argparse.Namespace) -> FeatureVector:
+    """The --bits feature drawn from --seed; refused before any draw beyond the u32 length fields."""
+    if ns.bits >= 1 << 32:
+        raise CapacityError(f"{ns.bits}-bit feature exceeds the 2^32 - 1 bit bound")
+    return FeatureVector(random_bits(ns.bits, ns.seed), provenance=f"seed={ns.seed}")
+
+
 def _cmd_gen(ns: argparse.Namespace) -> int:
-    fv = FeatureVector(random_bits(ns.bits, ns.seed), provenance=f"seed={ns.seed}")
-    bits.write_feature(ns.out, fv)
+    bits.write_feature(ns.out, _synthetic_feature(ns))
     return EXIT_OK
 
 
@@ -312,7 +318,7 @@ def _cmd_analyze_revoke(ns: argparse.Namespace) -> int:
     if ns.infile is not None:
         fv = bits.read_feature(ns.infile)
     elif ns.bits is not None and ns.seed is not None:
-        fv = FeatureVector(random_bits(ns.bits, ns.seed), provenance=f"seed={ns.seed}")
+        fv = _synthetic_feature(ns)
     else:
         raise InvalidArgumentError("provide --in FILE, or --bits and --seed")
     _print_report(revocability_check(fv, _params(ns), ns.attempts), ns.json)

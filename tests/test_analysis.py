@@ -21,7 +21,7 @@ from blokit import (
 )
 from blokit import analysis
 
-from conftest import oracle_recovery_successes
+from conftest import oracle_recovery_successes, oracle_transform
 
 ZP = TransformParams(5)
 
@@ -54,6 +54,8 @@ class TestFiberCensus:
             (10, 5, 256, 4),
             (15, 5, 4096, 8),
             (9, 3, 64, 8),
+            (21, 21, 1 << 20, 2),
+            (21, 7, 1 << 18, 8),
         ],
     )
     def test_exhaustive_counts(self, bits, block, distinct, fiber):
@@ -102,6 +104,18 @@ class TestFiberCensus:
     def test_counts_equal_member_lists(self, bits, block):
         report = fiber_census(bits, block)
         assert (report.findings, report.verdict) == census_from_fibers(bits, block)
+
+    @pytest.mark.parametrize(
+        "bits,block",
+        [(bits, b) for b in range(3, 12, 2) for bits in range(b, 16, b)] + [(13, 13)],
+    )
+    def test_fibers_equal_the_text_oracle(self, bits, block):
+        # Inputs grouped by the oracle's template, in ascending input order.
+        expected = {}
+        for value in range(1 << bits):
+            tpl = int(oracle_transform(format(value, f"0{bits}b"), block), 2)
+            expected.setdefault(tpl, []).append(value)
+        assert list(census_fibers(bits, block).items()) == list(expected.items())
 
     def test_single_block_without_a_kernel_call_per_input(self, monkeypatch):
         calls = []

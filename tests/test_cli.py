@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from blokit import MalformedInputError, cli, from_text, read_template_file
+from blokit import InvalidArgumentError, MalformedInputError, cli, from_text, read_template_file
 from blokit.bits import read_bits_file, read_feature
 from blokit.cli import run
 
@@ -159,6 +159,34 @@ class TestAnalyze:
         outcome = ok(["analyze", "census", "--bits", "10", "--block-size", "5", "--json"])
         doc = json.loads(outcome.stdout)
         assert doc["findings"]["fiber_size"] == 4
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen", "--seed", "1", "--out", "f.fbin"],
+            ["analyze", "revoke", "--seed", "1", "--attempts", "2", "--block-size", "5"],
+        ],
+        ids=["gen", "revoke"],
+    )
+    def test_synthetic_bits_bound_holds_at_the_u32_limit(self, args, tmp_path, monkeypatch):
+        # The stand-in draws nothing, so neither length allocates a feature.
+        calls = []
+
+        def drawn(length, seed):
+            calls.append(length)
+            raise InvalidArgumentError("drawn")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "random_bits", drawn)
+        refused = run(args + ["--bits", str(1 << 32)])
+        assert (refused.exit_code, refused.stdout, calls) == (3, "", [])
+        assert refused.stderr == (
+            "blokit: capacity: 4294967296-bit feature exceeds the 2^32 - 1 bit bound\n"
+        )
+        reached = run(args + ["--bits", str((1 << 32) - 1)])
+        assert (reached.exit_code, reached.stderr) == (1, "blokit: error: drawn\n")
+        assert calls == [(1 << 32) - 1]
+        assert not list(tmp_path.iterdir())
 
     def test_recovery_requires_seed(self):
         args = ["analyze", "recovery", "--bits", "10", "--block-size", "5", "--trials", "10"]

@@ -21,12 +21,13 @@ from blokit import (
     transform_block,
     write_template_file,
 )
-from blokit.transform import _kernel_masks
+from blokit.transform import _kernel_masks, transform_value
 
 from conftest import (
     bit_strings,
     block_multiple_features,
     every_odd_block_size,
+    kernel_block_counts,
     kernel_features,
     oracle_forge,
     oracle_transform,
@@ -186,6 +187,14 @@ class TestKernelAgainstOracle:
         expected = oracle_transform(bs.to_text(), params.block_size, params.padding)
         assert tpl.data.to_text() == expected
         assert tpl.original_length == bs.length
+
+    @settings(max_examples=300, deadline=None)
+    @given(every_odd_block_size, kernel_block_counts, st.data())
+    def test_transform_is_linear_over_xor(self, b, nblocks, data):
+        # Every output bit is x_i ^ x_pivot; the census splits inputs on this.
+        a, c = (data.draw(st.integers(0, (1 << nblocks * b) - 1)) for _ in range(2))
+        expected = transform_value(a, nblocks, b) ^ transform_value(c, nblocks, b)
+        assert transform_value(a ^ c, nblocks, b) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(kernel_features())
