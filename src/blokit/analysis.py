@@ -99,6 +99,12 @@ def _census_split(bit_length: int, block_size: int) -> "tuple[int, Iterator[int]
     return n, heads, tails
 
 
+def _refuse_beyond_u32(bit_length: int) -> None:
+    """Refuse, before any draw, a synthetic feature no u32 length field can hold."""
+    if bit_length >= 1 << 32:
+        raise CapacityError(f"{bit_length}-bit feature exceeds the 2^32 - 1 bit bound")
+
+
 def census_fibers(bit_length: int, block_size: int) -> "dict[int, list[int]]":
     """Group all 2**bit_length inputs by template.
 
@@ -171,6 +177,7 @@ def recovery_probability(
         )
     if trials < 1:
         raise InvalidArgumentError("trials must be at least 1")
+    _refuse_beyond_u32(bit_length)
     n = bit_length // block_size
     successes = 0
     # Trials run in chunks of about RECOVERY_CHUNK_BITS input bits, so memory
@@ -178,7 +185,7 @@ def recovery_probability(
     # concatenated in trial order, MSB-first, and pass through one kernel
     # call each way; a trial succeeds when its slice of the difference is 0.
     chunk = max(1, RECOVERY_CHUNK_BITS // bit_length)
-    original_spec, selector_spec, exact = f"0{bit_length}b", f"0{n}b", "0" * bit_length
+    original_spec, selector_spec = f"0{bit_length}b", f"0{n}b"
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
         labels = [f"trial/{trial}" for trial in range(start, start + count)]
@@ -189,7 +196,7 @@ def recovery_probability(
         recovered = invert_value(template, count * n, block_size, selectors)
         diff = format(recovered ^ originals, f"0{count * bit_length}b")
         slices = [diff[i : i + bit_length] for i in range(0, len(diff), bit_length)]
-        successes += slices.count(exact)
+        successes += slices.count("0" * bit_length)
     analytic = 2.0 ** -n
     empirical = successes / trials
     std_error = math.sqrt(analytic * (1.0 - analytic) / trials)
@@ -252,6 +259,7 @@ def linkability_study(
     if features is not None and len(features) != users:
         raise InvalidArgumentError(f"expected {users} feature vectors, got {len(features)}")
     if features is None:
+        _refuse_beyond_u32(feature_bits)
         features = [
             FeatureVector(random_bits(feature_bits, seed, f"user/{u}"), provenance=f"user/{u}")
             for u in range(users)

@@ -2,12 +2,15 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 
-from blokit import BitString, FeatureVector, PaddingPolicy, TransformParams, stream_rng
+from blokit import BitString, FeatureVector, PaddingPolicy, TransformParams, from_text, stream_rng
 from blokit.transform import invert_value, transform_value
 
 DATA_DIR = Path(__file__).parent / "data"
 
 TABLE_B5_FIXTURE = DATA_DIR / "table_b5.txt"
+
+# `gen --bits 1795 --seed 7 --out f.bits`, as the text-mode writer wrote it on POSIX.
+GEN_1795_SEED7_BITS = DATA_DIR / "gen_1795_seed7.bits"
 
 
 @st.composite
@@ -105,3 +108,18 @@ def kernel_features(draw):
     else:
         length = draw(st.integers(nblocks * b, nblocks * b + b - 1))
     return BitString(draw(st.integers(0, (1 << length) - 1)), length), params
+
+
+# The '.bits' codec as it was written on str: the writer's text and the
+# reader's parse, sharing no code with the byte paths in blokit.bits.
+
+
+def oracle_bits_file_text(bs, wrap=64):
+    """wrap-digit slices of to_text() (one line if wrap <= 0), joined with '\n', plus '\n'."""
+    text = bs.to_text()
+    lines = [text[i : i + wrap] for i in range(0, len(text), wrap)] if wrap > 0 else [text]
+    return "\n".join(lines or [""]) + "\n"
+
+
+def oracle_read_bits_file(path):
+    return from_text(path.read_text(encoding="utf-8"))

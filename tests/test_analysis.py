@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -250,6 +251,65 @@ class TestLinkabilityStudy:
     def test_features_length_checked(self):
         with pytest.raises(InvalidArgumentError):
             linkability_study(3, 2, ZP, seed=1, features=[FeatureVector(random_bits(10, 1))])
+
+
+class Drawn(Exception):
+    """Raised by a stand-in for the studies' draws, so no size allocates."""
+
+
+class TestSyntheticSizeBound:
+    U32_LIMIT = (1 << 32) - 1  # a multiple of 3, 5, 15 and 17
+    PAST = (1 << 32) + 4  # a multiple of 5
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+
+        def drawn(*args):
+            calls.append(args)
+            raise Drawn
+
+        monkeypatch.setattr(analysis, "stream_draws", drawn)
+        monkeypatch.setattr(analysis, "random_bits", drawn)
+        return calls
+
+    @pytest.mark.parametrize("block", [3, 5, 15, 17])
+    def test_recovery_reaches_the_draw_at_the_bound(self, draws, block):
+        with pytest.raises(Drawn):
+            recovery_probability(self.U32_LIMIT, block, trials=1, seed=1)
+        assert draws[0][1:] == (["trial/0"], (self.U32_LIMIT, self.U32_LIMIT // block))
+
+    def test_recovery_refused_past_the_bound(self, draws):
+        message = f"{self.PAST}-bit feature exceeds the 2^32 - 1 bit bound"
+        with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+            recovery_probability(self.PAST, 5, trials=1, seed=1)
+        assert draws == []
+
+    @pytest.mark.parametrize(
+        "bits,block,trials,message",
+        [
+            (PAST, 4, 1, "block size must be odd"),
+            (PAST + 1, 5, 1, "positive multiple of the block size"),
+            (PAST, 5, 0, "trials must be at least 1"),
+        ],
+    )
+    def test_recovery_argument_checks_come_first(self, draws, bits, block, trials, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            recovery_probability(bits, block, trials=trials, seed=1)
+        assert draws == []
+
+    def test_linkability_reaches_the_draw_at_the_bound(self, draws):
+        with pytest.raises(Drawn):
+            linkability_study(2, 2, ZP, seed=1, feature_bits=self.U32_LIMIT)
+        assert draws == [(self.U32_LIMIT, 1, "user/0")]
+
+    def test_linkability_refused_past_the_bound(self, draws):
+        message = f"{self.PAST}-bit feature exceeds the 2^32 - 1 bit bound"
+        with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+            linkability_study(2, 2, ZP, seed=1, feature_bits=self.PAST)
+        with pytest.raises(InvalidArgumentError, match="at least 2 users"):
+            linkability_study(1, 2, ZP, seed=1, feature_bits=self.PAST)
+        assert draws == []
 
 
 class TestRevocabilityCheck:

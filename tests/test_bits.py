@@ -31,7 +31,11 @@ from blokit.bits import (
     write_feature,
 )
 
-from conftest import bit_strings
+from conftest import (
+    bit_strings,
+    oracle_bits_file_text,
+    oracle_read_bits_file,
+)
 
 
 class TestFromText:
@@ -385,3 +389,82 @@ class TestFeatureFileFuzz:
             assert fv.data.length == int.from_bytes(raw[4:8], "big")
         else:
             assert fv.data.to_text() == "".join(raw.decode("utf-8").split())
+
+
+WRAPS = [-1, 0, 1, 7, 63, 64, 65]
+
+# Other line ends, a BOM, whitespace outside ASCII, a bad character and a
+# byte that is not UTF-8 take the reader's text path; the empty and the
+# newline-only files are the byte path's edges.
+EXOTIC_BITS_FILES = {
+    "crlf": b"0110\r\n1001\r\n",
+    "lone-cr": b"0110\r1001\r",
+    "cr-last": b"0110\n1\r",
+    "bom": b"\xef\xbb\xbf0110\n",
+    "u3000": "01\u300010\n".encode(),
+    "x1c": b"01\x1c10\n",
+    "bad-byte-after-crlf": b"0110\r\n10\xff1\r\n",
+    "bad-char-after-crlf": b"0110\r\n1021\r\n",
+    "empty": b"",
+    "newlines-only": b"\n\n",
+    "bad-char": b"10102\n",
+}
+
+
+class TestBitsCodecAgainstOracle:
+    @pytest.fixture(scope="class")
+    def codec_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("codec")
+
+    @staticmethod
+    def assert_reads_as_oracle(path):
+        """read_bits_file gives the oracle's BitString, or its error with the path in front."""
+        try:
+            expected = oracle_read_bits_file(path)
+        except UnicodeDecodeError as exc:
+            message = f"{path}: not UTF-8 text (byte {exc.start})"
+        except MalformedInputError as exc:
+            message = f"{path}: {exc}"
+        else:
+            assert read_bits_file(path) == expected
+            return
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+            read_bits_file(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bs=bit_strings(max_length=300), wrap=st.sampled_from(WRAPS))
+    def test_writer_matches_oracle(self, codec_dir, bs, wrap):
+        path = codec_dir / "w.bits"
+        write_bits_file(path, bs, wrap=wrap)
+        assert path.read_bytes() == oracle_bits_file_text(bs, wrap).encode("ascii")
+        assert read_bits_file(path) == bs
+
+    @pytest.mark.parametrize("wrap", [w for w in WRAPS if w > 0])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_writer_at_line_boundaries(self, tmp_path, wrap, offset):
+        length = wrap + offset
+        bs = BitString(stream_rng(wrap, offset).getrandbits(length) if length else 0, length)
+        path = tmp_path / "w.bits"
+        write_bits_file(path, bs, wrap=wrap)
+        assert path.read_bytes() == oracle_bits_file_text(bs, wrap).encode("ascii")
+        assert read_bits_file(path) == bs
+
+    def test_large_writer_matches_oracle(self, tmp_path):
+        bs = random_bits(262_140, 19)
+        path = tmp_path / "large.bits"
+        write_bits_file(path, bs)
+        assert path.read_bytes() == oracle_bits_file_text(bs).encode("ascii")
+        self.assert_reads_as_oracle(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutations_read_as_oracle(self, codec_dir, data):
+        path = codec_dir / "m.bits"
+        path.write_bytes(data.draw(mutated_feature_file(".bits")))
+        self.assert_reads_as_oracle(path)
+
+    @pytest.mark.parametrize("raw", EXOTIC_BITS_FILES.values(), ids=EXOTIC_BITS_FILES.keys())
+    def test_exotic_input_reads_as_oracle(self, tmp_path, raw):
+        path = tmp_path / "x.bits"
+        path.write_bytes(raw)
+        self.assert_reads_as_oracle(path)

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from blokit import InvalidArgumentError, MalformedInputError, cli, from_text, read_template_file
-from blokit.bits import read_bits_file, read_feature
+from blokit import (
+    InvalidArgumentError,
+    MalformedInputError,
+    analysis,
+    cli,
+    from_text,
+    read_template_file,
+)
+from blokit.bits import read_bits_file, read_feature, write_feature
 from blokit.cli import run
 
-from conftest import TABLE_B5_FIXTURE
+from conftest import GEN_1795_SEED7_BITS, TABLE_B5_FIXTURE
 from parser_reuse import SRC, mismatches
 
 
@@ -41,6 +48,14 @@ class TestPipeline:
 
         verify = ok(["attack", "verify", "--template", str(t), "--probe", str(forged)])
         assert verify.stdout == "result\tvalid\n"
+
+    def test_gen_writes_the_golden_bits_file(self, tmp_path):
+        f, copy = tmp_path / "f.bits", tmp_path / "copy.bits"
+        ok(["gen", "--bits", "1795", "--seed", "7", "--out", str(f)])
+        golden = GEN_1795_SEED7_BITS.read_bytes()
+        assert f.read_bytes() == golden
+        write_feature(copy, read_feature(GEN_1795_SEED7_BITS))
+        assert copy.read_bytes() == golden
 
     def test_genuine_probe_matches_itself(self, tmp_path):
         f = tmp_path / "f.bits"
@@ -187,6 +202,33 @@ class TestAnalyze:
         assert (reached.exit_code, reached.stderr) == (1, "blokit: error: drawn\n")
         assert calls == [(1 << 32) - 1]
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args,draw",
+        [
+            (["analyze", "recovery", "--trials", "1"], "stream_draws"),
+            (["analyze", "link", "--users", "2", "--devices", "2"], "random_bits"),
+        ],
+        ids=["recovery", "link"],
+    )
+    def test_study_bits_bound_holds_at_the_u32_limit(self, args, draw, monkeypatch):
+        # The stand-in draws nothing, so neither length allocates a feature.
+        calls = []
+
+        def drawn(seed_or_length, *rest):
+            calls.append(seed_or_length)
+            raise InvalidArgumentError("drawn")
+
+        monkeypatch.setattr(analysis, draw, drawn)
+        args = args + ["--block-size", "5", "--seed", "1", "--bits"]
+        refused = run(args + [str((1 << 32) + 4)])
+        assert (refused.exit_code, refused.stdout, calls) == (3, "", [])
+        assert refused.stderr == (
+            "blokit: capacity: 4294967300-bit feature exceeds the 2^32 - 1 bit bound\n"
+        )
+        reached = run(args + [str((1 << 32) - 1)])
+        assert (reached.exit_code, reached.stderr) == (1, "blokit: error: drawn\n")
+        assert len(calls) == 1
 
     def test_recovery_requires_seed(self):
         args = ["analyze", "recovery", "--bits", "10", "--block-size", "5", "--trials", "10"]
@@ -392,6 +434,26 @@ class TestUsageContract:
             assert outcome.exit_code == 1, args
             assert outcome.stdout == ""
             assert outcome.stderr.startswith(f"blokit: error: {bad}: "), args
+
+    def test_invalid_bits_character_names_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ok(["gen", "--bits", "20", "--seed", "1", "--out", "f.bits"])
+        ok(["enroll", "--in", "f.bits", "--block-size", "5", "--out", "t.blo"])
+        ok(["store", "enroll", "--root", "store", "--device", "d1", "--user", "u1",
+            "--in", "f.bits", "--block-size", "5"])
+        (tmp_path / "bad.bits").write_bytes(b"1012\n")
+        for args in (
+            ["enroll", "--in", "bad.bits", "--block-size", "5", "--out", "x.blo"],
+            ["match", "--template", "t.blo", "--probe", "bad.bits"],
+            ["store", "auth", "--root", "store", "--device", "d1", "--user", "u1",
+             "--probe", "bad.bits"],
+        ):
+            outcome = run(args)
+            assert (outcome.exit_code, outcome.stdout) == (1, ""), args
+            assert outcome.stderr == (
+                "blokit: error: bad.bits: invalid character '2' at position 3\n"
+            )
+        assert not (tmp_path / "x.blo").exists()
 
     def test_even_block_size_reports_error(self, tmp_path):
         f = tmp_path / "f.bits"
