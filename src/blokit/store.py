@@ -126,9 +126,15 @@ class TemplateStore:
             original_length=record.template.original_length,
             enrolled_at=record.enrolled_at,
         )
+        path = self.root / Path(filename)
         try:
-            (self.root / record.device_id).mkdir(exist_ok=True)
-            write_template_file(self.root / Path(filename), record.template)
+            # The device directory is made only once the write needs it, so a
+            # template the header cannot hold leaves nothing behind.
+            try:
+                write_template_file(path, record.template)
+            except FileNotFoundError:
+                path.parent.mkdir()
+                write_template_file(path, record.template)
             entries = self.list_records() if self.manifest_path.exists() else []
             for i, existing in enumerate(entries):
                 if (existing.device_id, existing.user_id) == (record.device_id, record.user_id):

@@ -6,12 +6,14 @@ dropping the pivot; the outputs are concatenated into the protected
 template.  The map is deterministic and keyless.
 
 All bit-level work goes through one kernel pair on MSB-first integers,
-:func:`transform_value` and its inverse :func:`invert_value`, built from
-whole-value integer operations only: one multiplication XORs every block
-with its pivot, two masked operations drop or insert the pivot column, and
-about log2(block count) masked shifts close or open the one-bit gaps
-between blocks.  The masks depend only on the block count and size and
-are cached for the last few shapes.
+:func:`transform_value` and its inverse :func:`invert_value`.  One
+multiplication XORs every block with its pivot and two masked operations
+drop or insert the pivot column, leaving a one-bit gap above each block.
+Three masked shifts close the gaps inside each group of 8 blocks, so a
+group fills b-1 of the b bytes it spans and its top byte is zero; one
+bytearray pass then deletes or inserts every b-th byte.  Every step is
+linear in the input.  The masks depend only on the block count and size
+and are cached for the last few shapes.
 """
 
 from __future__ import annotations
@@ -130,39 +132,59 @@ def _tile(pattern: int, period: int, length: int) -> int:
 # sits at bit i*b and moves to bit i*(b-1).  Compaction round j moves the
 # blocks whose index has bit j set by 2^j: before it, the blocks sit in
 # packed groups of 2^j at multiples of 2^j*b, and its mask holds every odd
-# group, which closes up to the even group below it.  The inverse runs the
-# rounds backwards with left shifts and spreads the selector (bit i to bit
-# i*b) alongside through the same masks: shifted left by 2^j*(b-1), the
-# selector's odd groups land on the first bits of the masked groups and its
-# even groups on no masked bit.
+# group, which closes up to the even group below it.  Only rounds 0-2 run,
+# so block 8g+r ends at bit 8g*b + r*(b-1): group g fills bytes g*b to
+# g*b + b-2, and byte g*b + b-1, its 8 gap bits, is zero.  Read big-endian
+# over ceil(n/8)*b bytes (the top group padded with zero blocks), the zero
+# bytes are every b-th byte from index 0, and deleting them packs every
+# group.  Up to 8 blocks form one group and need no byte pass.  The inverse
+# inserts the zero bytes and runs the rounds backwards with left shifts.
+# It spreads the selector alongside (bit i to bit i*b): selector byte g
+# goes to byte g*b, then through the same masks, since shifted left by
+# 2^j*(b-1) the selector's odd groups land on the first bits of the masked
+# groups and its even groups on no masked bit.
 @functools.lru_cache(maxsize=4)
 def _kernel_masks(nblocks: int, b: int) -> tuple:
-    """Pivot index and spread, block LSBs, the masks below and above the pivot, and
-    (shift, selector shift, odd-group mask) per compaction round."""
+    """Pivot index and spread, block LSBs, the masks below and above the pivot,
+    (shift, selector shift, odd-group mask) per compaction round, and the number
+    of 8-block groups for the byte pass (0 for a single group)."""
     p, w, length = (b - 1) // 2, b - 1, nblocks * b
     block_lsbs, ones = _tile(1, b, length), (1 << p) - 1
-    sizes = [1 << j for j in range((nblocks - 1).bit_length())]  # 1, 2, 4, ... below nblocks
+    sizes = [s for s in (1, 2, 4) if s < nblocks]
     rounds = tuple((s, s * w, _tile(((1 << s * w) - 1) << s * b, 2 * s * b, length)) for s in sizes)
     spread = ((1 << b) - 1) ^ (1 << p)
-    return p, spread, block_lsbs, block_lsbs * ones, block_lsbs * (ones << p), rounds
+    groups = -(-nblocks // 8) if nblocks > 8 else 0
+    return p, spread, block_lsbs, block_lsbs * ones, block_lsbs * (ones << p), rounds, groups
 
 
 def transform_value(value: int, nblocks: int, b: int) -> int:
     """The template of ``nblocks`` aligned b-bit blocks, both MSB-first integers."""
-    p, spread, block_lsbs, low, high, rounds = _kernel_masks(nblocks, b)
+    p, spread, block_lsbs, low, high, rounds, groups = _kernel_masks(nblocks, b)
     # One carry-free product spreads every pivot over its own block.
     x = value ^ ((value >> p) & block_lsbs) * spread
     x = (x & low) | ((x >> 1) & high)
     for shift, _, odd_groups in rounds:
         t = x & odd_groups
         x ^= t ^ (t >> shift)
+    if groups:
+        buf = bytearray(x.to_bytes(groups * b, "big"))
+        del buf[::b]
+        x = int.from_bytes(buf, "big")
     return x
 
 
 def invert_value(template: int, nblocks: int, b: int, selector: int) -> int:
     """The preimage of a template whose block k takes selector bit k (MSB-first) as pivot."""
-    _, _, _, low, high, rounds = _kernel_masks(nblocks, b)
+    _, _, _, low, high, rounds, groups = _kernel_masks(nblocks, b)
     x = template
+    if groups:
+        w = b - 1
+        packed = template.to_bytes(groups * w, "big")
+        buf, selector_buf = bytearray(groups * b), bytearray(groups * b)
+        for k in range(1, b):
+            buf[k::b] = packed[k - 1 :: w]
+        selector_buf[w::b] = selector.to_bytes(groups, "big")
+        x, selector = int.from_bytes(buf, "big"), int.from_bytes(selector_buf, "big")
     for shift, selector_shift, odd_groups in reversed(rounds):
         t = (x << shift) & odd_groups
         x ^= t ^ (t >> shift)
@@ -208,6 +230,10 @@ def write_template_file(path: "str | Path", tpl: ProtectedTemplate) -> None:
     """Write the '.blo' codec: magic, version, policy, sizes, packed payload."""
     if tpl.original_length >= 1 << 32 or tpl.data.length >= 1 << 32:
         raise InvalidArgumentError("lengths do not fit the 32-bit header fields")
+    if tpl.params.block_size >= 1 << 16:
+        raise InvalidArgumentError(
+            f"block size {tpl.params.block_size} does not fit the 16-bit header field"
+        )
     header = struct.pack(
         ">4sBBHII",
         BLO_MAGIC,

@@ -90,10 +90,18 @@ def oracle_recovery_successes(bit_length, block_size, trials, seed):
     return successes
 
 
-# Block counts around every change in the kernels' number of compaction
-# rounds (ceil(log2 n)): 2^k - 1, 2^k and 2^k + 1 blocks for k up to 10.
+# Block counts where the kernels change shape: every count up to 17 (one or
+# two 8-block groups, where the compaction rounds and the byte pass start),
+# both sides of every 8-block group boundary for up to 40 groups, and
+# 2^k - 1, 2^k and 2^k + 1 for k up to 10.
 kernel_block_counts = st.one_of(
-    st.sampled_from(sorted({n for k in range(1, 11) for n in (2**k - 1, 2**k, 2**k + 1)})),
+    st.sampled_from(
+        sorted(
+            {n for k in range(1, 11) for n in (2**k - 1, 2**k, 2**k + 1)}
+            | {n for g in range(1, 41) for n in (8 * g - 1, 8 * g, 8 * g + 1)}
+            | set(range(1, 18))
+        )
+    ),
     st.integers(2, 300),
 )
 

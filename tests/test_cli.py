@@ -463,6 +463,27 @@ class TestUsageContract:
         assert outcome.exit_code == 1
         assert "odd" in outcome.stderr
 
+    def test_block_size_bound_holds_at_the_u16_header_field(self, tmp_path):
+        f, t, big = tmp_path / "f.bits", tmp_path / "t.blo", tmp_path / "big.blo"
+        root = tmp_path / "store"
+        ok(["gen", "--bits", "1795", "--seed", "4", "--out", str(f)])
+        ok(["enroll", "--in", str(f), "--block-size", "65535", "--out", str(t)])
+        assert ok(["match", "--template", str(t), "--probe", str(f)]).stdout == "1.000000\n"
+        ok(["store", "enroll", "--root", str(root), "--device", "d1", "--user", "u1",
+            "--in", str(f), "--block-size", "5"])
+        manifest, layout = (root / "manifest.tsv").read_bytes(), sorted(root.rglob("*"))
+        error = "blokit: error: block size 65537 does not fit the 16-bit header field\n"
+        for args in (
+            ["enroll", "--in", str(f), "--block-size", "65537", "--out", str(big)],
+            *(["store", "enroll", "--root", str(root), "--device", device, "--user", "u2",
+               "--in", str(f), "--block-size", "65537"] for device in ("d1", "d2")),
+        ):
+            outcome = run(args)
+            assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (1, "", error), args
+        assert not big.exists()
+        assert (root / "manifest.tsv").read_bytes() == manifest
+        assert sorted(root.rglob("*")) == layout
+
 
 DETERMINISTIC_COMMANDS = st.one_of(
     st.tuples(st.sampled_from([3, 5, 7])).map(

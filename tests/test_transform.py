@@ -177,7 +177,8 @@ class TestTransform:
 
 
 class TestKernelAgainstOracle:
-    """The log-step kernel pair against the bitwise definition."""
+    """The kernel pair (three compaction rounds, then the byte pass over
+    8-block groups) against the bitwise definition."""
 
     @settings(max_examples=400, deadline=None)
     @given(kernel_features())
@@ -229,6 +230,17 @@ class TestKernelAgainstOracle:
         selector = random_bits(tpl.block_count, b + 1)
         forged = forge(tpl, selector)
         assert forged.data.to_text() == oracle_forge(tpl.data.to_text(), b, selector.to_text())
+
+    @pytest.mark.parametrize("b", range(3, 19, 2))
+    def test_every_count_through_two_groups_matches_oracles(self, b):
+        # Up to 8 blocks skip the byte pass; 9 blocks is the first count that needs it.
+        for nblocks in range(1, 18):
+            bs = random_bits(nblocks * b, nblocks)
+            tpl = transform(bs, TransformParams(b))
+            assert tpl.data.to_text() == oracle_transform(bs.to_text(), b)
+            selector = random_bits(nblocks, b)
+            forged = forge(tpl, selector)
+            assert forged.data.to_text() == oracle_forge(tpl.data.to_text(), b, selector.to_text())
 
     def test_cold_mask_cache_matches_oracles(self):
         _kernel_masks.cache_clear()
