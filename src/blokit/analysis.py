@@ -19,14 +19,14 @@ deterministic for a given seed no matter how trials are scheduled.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .bits import BitString, FeatureVector, random_bits, stream_draws
+from .bits import BitString, FeatureVector, random_bits, refuse_beyond_u32, stream_draws
 from .errors import CapacityError, InvalidArgumentError
 from .transform import TransformParams, invert_value, transform, transform_value
 
@@ -97,12 +97,6 @@ def _census_split(bit_length: int, block_size: int) -> "tuple[int, Iterator[int]
     tails = [transform_value(low, n, b) for low in range(1 << s)]
     heads = (transform_value(high << s, n, b) for high in range(1 << (bit_length - s)))
     return n, heads, tails
-
-
-def _refuse_beyond_u32(bit_length: int) -> None:
-    """Refuse, before any draw, a synthetic feature no u32 length field can hold."""
-    if bit_length >= 1 << 32:
-        raise CapacityError(f"{bit_length}-bit feature exceeds the 2^32 - 1 bit bound")
 
 
 def census_fibers(bit_length: int, block_size: int) -> "dict[int, list[int]]":
@@ -177,7 +171,7 @@ def recovery_probability(
         )
     if trials < 1:
         raise InvalidArgumentError("trials must be at least 1")
-    _refuse_beyond_u32(bit_length)
+    refuse_beyond_u32(bit_length)
     n = bit_length // block_size
     successes = 0
     # Trials run in chunks of about RECOVERY_CHUNK_BITS input bits, so memory
@@ -225,13 +219,17 @@ def recovery_probability(
     return report
 
 
-def _match_rate(groups: "Iterable[Sequence[BitString]]") -> float:
-    """Fraction of equal payload pairs, over the pairs within each group."""
+def _match_rate(groups: "Iterable[Iterable[BitString]]") -> float:
+    """Fraction of equal payload pairs, over the pairs within each group.
+
+    A class of k equal payloads holds C(k, 2) matching pairs, and a group
+    of g payloads C(g, 2) pairs, so no pair is compared on its own.
+    """
     pairs = matches = 0
     for group in groups:
-        for first, second in itertools.combinations(group, 2):
-            pairs += 1
-            matches += first == second
+        classes = Counter(group).values()
+        pairs += math.comb(sum(classes), 2)
+        matches += sum(math.comb(k, 2) for k in classes)
     return matches / pairs
 
 
@@ -259,7 +257,7 @@ def linkability_study(
     if features is not None and len(features) != users:
         raise InvalidArgumentError(f"expected {users} feature vectors, got {len(features)}")
     if features is None:
-        _refuse_beyond_u32(feature_bits)
+        refuse_beyond_u32(feature_bits)
         features = [
             FeatureVector(random_bits(feature_bits, seed, f"user/{u}"), provenance=f"user/{u}")
             for u in range(users)
@@ -271,13 +269,12 @@ def linkability_study(
     length = template_bits.pop()
 
     # Per-device stored payloads: the plain transform, optionally masked.
+    # Rows are users (same-user pairs), columns devices (cross-user pairs);
+    # every plain row repeats one payload and every plain column is the same.
+    payloads = [tpl.data for tpl in templates]
     masks = None
     if keyed_baseline:
         masks = [random_bits(length, seed, f"device-mask/{d}") for d in range(devices)]
-    plain = [[templates[u].data for _ in range(devices)] for u in range(users)]
-    stored = plain
-    if masks is not None:
-        stored = [[plain[u][d] ^ masks[d] for d in range(devices)] for u in range(users)]
 
     report = AnalysisReport(
         kind="linkability",
@@ -294,13 +291,12 @@ def linkability_study(
             "template_bits": length,
             "same_user_pairs": users * devices * (devices - 1) // 2,
             "cross_user_pairs": devices * users * (users - 1) // 2,
-            # Rows are users (same-user pairs), columns devices (cross-user pairs).
-            "link_rate": _match_rate(plain),
-            "cross_user_collision_rate": _match_rate(zip(*plain)),
+            "link_rate": _match_rate([p] * devices for p in payloads),
+            "cross_user_collision_rate": _match_rate([payloads] * devices),
         },
     )
     if masks is not None:
-        report.findings["keyed_link_rate"] = _match_rate(stored)
+        report.findings["keyed_link_rate"] = _match_rate((p ^ m for m in masks) for p in payloads)
         report.findings["keyed_baseline_note"] = _KEYED_BASELINE_NOTE
     report.verdict = (
         f"same-user templates matched across devices at rate {report.findings['link_rate']!r}: "

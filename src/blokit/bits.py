@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import DimensionError, InvalidArgumentError, MalformedInputError
+from .errors import CapacityError, DimensionError, InvalidArgumentError, MalformedInputError
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -208,6 +208,12 @@ def stream_draws(
     return draws
 
 
+def refuse_beyond_u32(bit_length: int) -> None:
+    """Refuse, before any draw, a synthetic feature no u32 length field can hold."""
+    if bit_length >= 1 << 32:
+        raise CapacityError(f"{bit_length}-bit feature exceeds the 2^32 - 1 bit bound")
+
+
 def random_bits(length: int, seed: int, stream: "int | str" = 0) -> BitString:
     """Draw a uniform random BitString, deterministic for (length, seed, stream)."""
     if length < 1:
@@ -230,17 +236,15 @@ class FeatureVector:
         return self.data.length
 
 
-def write_bits_file(path: "str | Path", bs: BitString, wrap: int = 64) -> None:
-    """Write the text codec ('.bits'): '0'/'1' characters, wrapped lines."""
+def write_bits_file(path: "str | Path", bs: BitString) -> None:
+    """Write the text codec ('.bits'): '0'/'1' characters in 64-digit lines."""
     text = bs.to_text().encode("ascii")
-    lines = [text]
-    if 0 < wrap < len(text):
-        whole, tail = divmod(len(text), wrap)
-        # A Struct of its own: struct.unpack_from would keep the compiled
-        # format, about 0.6 MB per Mbit, in a cache of up to 100 formats.
-        lines = list(struct.Struct(f"{wrap}s" * whole).unpack_from(text))
-        if tail:
-            lines.append(text[-tail:])
+    whole, tail = divmod(len(text), 64)
+    # A Struct of its own: struct.unpack_from would keep the compiled
+    # format, about 0.6 MB per Mbit, in a cache of up to 100 formats.
+    lines = list(struct.Struct("64s" * whole).unpack_from(text))
+    if tail:
+        lines.append(text[-tail:])
     Path(path).write_bytes(b"\n".join(lines) + b"\n")
 
 

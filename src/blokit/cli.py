@@ -50,28 +50,11 @@ class CommandOutcome:
     stderr: str
 
 
-class _UsageError(Exception):
-    def __init__(self, message: str, usage: str) -> None:
-        super().__init__(message)
-        self.usage = usage
-
-
-class _ExitRequest(Exception):
-    def __init__(self, status: int) -> None:
-        super().__init__(f"exit {status}")
-        self.status = status
-
-
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that raises instead of calling sys.exit."""
+    """ArgumentParser whose usage errors exit with status 1, not 2."""
 
     def error(self, message: str) -> "None":
-        raise _UsageError(message, self.format_usage())
-
-    def exit(self, status: int = 0, message: "str | None" = None) -> "None":
-        if message:
-            sys.stderr.write(message)
-        raise _ExitRequest(status)
+        self.exit(EXIT_ERROR, f"{self.format_usage()}blokit: error: {message}\n")
 
 
 def _add_policy_flag(parser: argparse.ArgumentParser) -> None:
@@ -210,8 +193,7 @@ def _shared_parser() -> _Parser:
 
 def _synthetic_feature(ns: argparse.Namespace) -> FeatureVector:
     """The --bits feature drawn from --seed; refused before any draw beyond the u32 length fields."""
-    if ns.bits >= 1 << 32:
-        raise CapacityError(f"{ns.bits}-bit feature exceeds the 2^32 - 1 bit bound")
+    bits.refuse_beyond_u32(ns.bits)
     return FeatureVector(random_bits(ns.bits, ns.seed), provenance=f"seed={ns.seed}")
 
 
@@ -349,12 +331,8 @@ def _cmd_store_list(ns: argparse.Namespace) -> int:
 def _dispatch(argv: "list[str]") -> int:
     try:
         ns = _shared_parser().parse_args(argv)
-    except _UsageError as exc:
-        sys.stderr.write(exc.usage)
-        sys.stderr.write(f"blokit: error: {exc}\n")
-        return EXIT_ERROR
-    except _ExitRequest as exc:
-        return EXIT_OK if exc.status == 0 else EXIT_ERROR
+    except SystemExit as exc:
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return ns.func(ns)
     except CapacityError as exc:

@@ -135,7 +135,7 @@ class TemplateStore:
             except FileNotFoundError:
                 path.parent.mkdir()
                 write_template_file(path, record.template)
-            entries = self.list_records() if self.manifest_path.exists() else []
+            entries = self.list_records()
             for i, existing in enumerate(entries):
                 if (existing.device_id, existing.user_id) == (record.device_id, record.user_id):
                     entries[i] = entry

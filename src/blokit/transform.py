@@ -29,6 +29,8 @@ from .errors import InvalidArgumentError, MalformedInputError
 
 BLO_MAGIC = b"BLO1"
 BLO_VERSION = 1
+# magic, version, policy byte, u16 block size, u32 original and payload bit lengths
+_BLO_HEADER = struct.Struct(">4sBBHII")
 
 
 class PaddingPolicy(enum.Enum):
@@ -234,8 +236,7 @@ def write_template_file(path: "str | Path", tpl: ProtectedTemplate) -> None:
         raise InvalidArgumentError(
             f"block size {tpl.params.block_size} does not fit the 16-bit header field"
         )
-    header = struct.pack(
-        ">4sBBHII",
+    header = _BLO_HEADER.pack(
         BLO_MAGIC,
         BLO_VERSION,
         _POLICY_BYTE[tpl.params.padding],
@@ -254,18 +255,16 @@ def read_template_file(path: "str | Path") -> ProtectedTemplate:
 
 def decode_template(raw: bytes, source: "str | Path") -> ProtectedTemplate:
     """Decode the '.blo' codec; a MalformedInputError names ``source``."""
-    if len(raw) < 16 or raw[:4] != BLO_MAGIC:
+    if len(raw) < _BLO_HEADER.size or raw[:4] != BLO_MAGIC:
         raise MalformedInputError(f"{source}: not a template file (bad magic)")
-    _, version, policy_byte, block_size, original_length, data_bits = struct.unpack(
-        ">4sBBHII", raw[:16]
-    )
+    _, version, policy_byte, block_size, original_length, data_bits = _BLO_HEADER.unpack_from(raw)
     if version != BLO_VERSION:
         raise MalformedInputError(f"{source}: unsupported version {version}")
     if policy_byte not in _BYTE_POLICY:
         raise MalformedInputError(f"{source}: unknown padding policy byte {policy_byte:#x}")
     try:
         params = TransformParams(block_size, _BYTE_POLICY[policy_byte])
-        data = BitString.unpack(raw[16:], data_bits)
+        data = BitString.unpack(raw[_BLO_HEADER.size :], data_bits)
         if data_bits % (block_size - 1):
             raise InvalidArgumentError(
                 f"payload of {data_bits} bits is not a whole number of blocks"

@@ -1,8 +1,18 @@
+from itertools import combinations
 from pathlib import Path
 
 import hypothesis.strategies as st
 
-from blokit import BitString, FeatureVector, PaddingPolicy, TransformParams, from_text, stream_rng
+from blokit import (
+    BitString,
+    FeatureVector,
+    PaddingPolicy,
+    TransformParams,
+    from_text,
+    random_bits,
+    stream_rng,
+    transform,
+)
 from blokit.transform import invert_value, transform_value
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -131,3 +141,24 @@ def oracle_bits_file_text(bs, wrap=64):
 
 def oracle_read_bits_file(path):
     return from_text(path.read_text(encoding="utf-8"))
+
+
+# The linkability study as it was first written: the users x devices table of
+# stored payloads, with every pair in each row and column compared.
+
+
+def oracle_link_rates(features, devices, seed, params, keyed_baseline):
+    """(link_rate, cross_user_collision_rate, keyed_link_rate or None) from pairwise comparisons."""
+    payloads = [transform(fv, params).data for fv in features]
+    plain = [[p for _ in range(devices)] for p in payloads]
+    stored = None
+    if keyed_baseline:
+        masks = [random_bits(payloads[0].length, seed, f"device-mask/{d}") for d in range(devices)]
+        stored = [[row[d] ^ masks[d] for d in range(devices)] for row in plain]
+
+    def match_rate(groups):
+        pairs = [first == second for group in groups for first, second in combinations(group, 2)]
+        return sum(pairs) / len(pairs)
+
+    rates = match_rate(plain), match_rate(zip(*plain))
+    return rates + (match_rate(stored) if stored is not None else None,)

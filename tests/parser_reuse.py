@@ -51,8 +51,10 @@ def make_cases(workdir: Path) -> "list[list[str]]":
         ["--help"],
         ["attack", "--help"],
         ["attack", "preimage", "--help"],
+        ["analyze", "link", "--help"],
         ["frobnicate"],
         ["attack"],
+        ["store"],
         ["gen", "--bits", "10"],
         ["gen", "--bits", "x", "--seed", "1", "--out", "f"],
         ["gen", "--bits", "8", "--seed", "1", "--out", "f", "--bogus"],

@@ -1,6 +1,8 @@
 import json
 import re
 
+from hypothesis import given, settings
+import hypothesis.strategies as st
 import pytest
 
 from blokit import (
@@ -9,6 +11,7 @@ from blokit import (
     CapacityError,
     FeatureVector,
     InvalidArgumentError,
+    PaddingPolicy,
     TransformParams,
     census_fibers,
     complement,
@@ -22,7 +25,12 @@ from blokit import (
 )
 from blokit import analysis
 
-from conftest import oracle_recovery_successes, oracle_transform
+from conftest import (
+    oracle_link_rates,
+    oracle_recovery_successes,
+    oracle_transform,
+    padding_policies,
+)
 
 ZP = TransformParams(5)
 
@@ -251,6 +259,63 @@ class TestLinkabilityStudy:
     def test_features_length_checked(self):
         with pytest.raises(InvalidArgumentError):
             linkability_study(3, 2, ZP, seed=1, features=[FeatureVector(random_bits(10, 1))])
+
+
+@st.composite
+def link_studies(draw):
+    """Small linkability studies whose few-bit templates collide across users.
+
+    Half the draws enroll synthetic users, half a pool of at most three
+    features shared out among the users (duplicate enrollees).
+    """
+    b = draw(st.sampled_from([3, 5, 7]))
+    policy = draw(padding_policies)
+    bits = draw(st.integers(b if policy is PaddingPolicy.TRUNCATE else 3, 8))
+    users, devices = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 2**64 - 1))
+    features = None
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=3))
+        values = draw(st.lists(st.sampled_from(pool), min_size=users, max_size=users))
+        features = [FeatureVector(BitString(v, bits)) for v in values]
+    return users, devices, TransformParams(b, policy), seed, bits, features
+
+
+class TestLinkabilityAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(study=link_studies(), keyed=st.booleans())
+    def test_rates_equal_the_pairwise_oracle(self, study, keyed):
+        users, devices, params, seed, bits, features = study
+        report = linkability_study(
+            users, devices, params, seed, keyed_baseline=keyed, feature_bits=bits, features=features
+        )
+        if features is None:
+            features = [FeatureVector(random_bits(bits, seed, f"user/{u}")) for u in range(users)]
+        link, collision, keyed_link = oracle_link_rates(features, devices, seed, params, keyed)
+        assert report.findings["link_rate"] == link
+        assert report.findings["cross_user_collision_rate"] == collision
+        assert report.findings.get("keyed_link_rate") == keyed_link
+
+    def test_comparisons_grow_with_users_times_devices(self, monkeypatch):
+        # Payload classes are counted, not pairs compared: 60 users sharing
+        # 3 features on 40 keyed devices would make 164,400 pairwise comparisons.
+        users, devices = 60, 40
+        shared = [FeatureVector(random_bits(100, s)) for s in range(3)]
+        features = [shared[u % 3] for u in range(users)]
+        comparisons = 0
+        equal = BitString.__eq__
+
+        def counted(self, other):
+            nonlocal comparisons
+            comparisons += 1
+            return equal(self, other)
+
+        monkeypatch.setattr(BitString, "__eq__", counted)
+        report = linkability_study(
+            users, devices, ZP, seed=1, keyed_baseline=True, features=features
+        )
+        assert comparisons <= 2 * users * devices
+        assert report.findings["cross_user_collision_rate"] == 3 * 190 / 1770
 
 
 class Drawn(Exception):

@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from blokit import (
@@ -294,7 +294,7 @@ class TestFileCodecs:
 
     def test_bits_file_is_text_with_wrapping(self, tmp_path):
         path = tmp_path / "f.bits"
-        write_bits_file(path, random_bits(200, 1), wrap=64)
+        write_bits_file(path, random_bits(200, 1))
         lines = path.read_text().splitlines()
         assert all(set(line) <= {"0", "1"} for line in lines)
         assert max(len(line) for line in lines) <= 64
@@ -391,8 +391,6 @@ class TestFeatureFileFuzz:
             assert fv.data.to_text() == "".join(raw.decode("utf-8").split())
 
 
-WRAPS = [-1, 0, 1, 7, 63, 64, 65]
-
 # Other line ends, a BOM, whitespace outside ASCII, a bad character and a
 # byte that is not UTF-8 take the reader's text path; the empty and the
 # newline-only files are the byte path's edges.
@@ -432,21 +430,22 @@ class TestBitsCodecAgainstOracle:
             read_bits_file(path)
 
     @settings(max_examples=300, deadline=None)
-    @given(bs=bit_strings(max_length=300), wrap=st.sampled_from(WRAPS))
-    def test_writer_matches_oracle(self, codec_dir, bs, wrap):
+    @given(bs=bit_strings(max_length=300))
+    @example(bs=BitString(0, 0))
+    def test_writer_matches_oracle(self, codec_dir, bs):
         path = codec_dir / "w.bits"
-        write_bits_file(path, bs, wrap=wrap)
-        assert path.read_bytes() == oracle_bits_file_text(bs, wrap).encode("ascii")
+        write_bits_file(path, bs)
+        assert path.read_bytes() == oracle_bits_file_text(bs).encode("ascii")
         assert read_bits_file(path) == bs
 
-    @pytest.mark.parametrize("wrap", [w for w in WRAPS if w > 0])
+    @pytest.mark.parametrize("lines", [1, 7, 63, 64, 65])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_writer_at_line_boundaries(self, tmp_path, wrap, offset):
-        length = wrap + offset
-        bs = BitString(stream_rng(wrap, offset).getrandbits(length) if length else 0, length)
+    def test_writer_at_line_boundaries(self, tmp_path, lines, offset):
+        length = 64 * lines + offset
+        bs = BitString(stream_rng(lines, offset).getrandbits(length), length)
         path = tmp_path / "w.bits"
-        write_bits_file(path, bs, wrap=wrap)
-        assert path.read_bytes() == oracle_bits_file_text(bs, wrap).encode("ascii")
+        write_bits_file(path, bs)
+        assert path.read_bytes() == oracle_bits_file_text(bs).encode("ascii")
         assert read_bits_file(path) == bs
 
     def test_large_writer_matches_oracle(self, tmp_path):

@@ -155,6 +155,12 @@ class TestListRecords:
         os.symlink("manifest.tsv", store.manifest_path)
         assert store.list_records() == []
 
+    def test_enroll_through_a_manifest_symlink_loop_fails(self, store):
+        os.symlink("manifest.tsv", store.manifest_path)
+        with pytest.raises(StorageError, match="^cannot write to store at "):
+            store.enroll(record("d1", "u1", FeatureVector(random_bits(20, 1))))
+        assert os.path.islink(store.manifest_path)
+
     @pytest.mark.parametrize(
         "tail, line_no",
         [
