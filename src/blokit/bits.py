@@ -10,6 +10,10 @@ Conventions used everywhere in this package:
   the bytes are checked first: digits and '\n' alone decode straight
   from the bytes, and only other input is decoded as UTF-8 text, to skip
   other whitespace or to name a fault.
+- Every file codec writes through ``write_file``, which replaces an
+  existing file's content in place: links are followed, the file keeps
+  its inode and is cut to the new length.  Like ``Path.write_bytes``,
+  the write is not atomic.
 - Randomness comes from ``random.Random`` (Mersenne Twister).  The
   generator for a draw is seeded with the SHA-256 digest of the 64-bit
   master seed and a stream label, so independent streams split off one
@@ -23,7 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import random
+import stat
 import struct
 from contextlib import suppress
 from dataclasses import dataclass
@@ -236,6 +242,27 @@ class FeatureVector:
         return self.data.length
 
 
+def write_file(path: "str | Path", data: bytes) -> None:
+    """Write ``data`` as the whole content of ``path``, overwriting in place.
+
+    Not opened with O_TRUNC: cutting a non-empty file to zero and closing
+    it makes some filesystems (ext4's replace-via-truncate heuristic)
+    start writeback at once, which costs far more than the write.
+    """
+    # Opened as a Path, so an OSError names the normalised path, as write_bytes does.
+    fd = os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # a write above about 2 GiB comes back short
+            view = view[os.write(fd, view) :]
+        st = os.fstat(fd)
+        # Only a regular file that was longer; never /dev/null or a FIFO.
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_bits_file(path: "str | Path", bs: BitString) -> None:
     """Write the text codec ('.bits'): '0'/'1' characters in 64-digit lines."""
     text = bs.to_text().encode("ascii")
@@ -245,7 +272,7 @@ def write_bits_file(path: "str | Path", bs: BitString) -> None:
     lines = list(struct.Struct("64s" * whole).unpack_from(text))
     if tail:
         lines.append(text[-tail:])
-    Path(path).write_bytes(b"\n".join(lines) + b"\n")
+    write_file(path, b"\n".join(lines) + b"\n")
 
 
 # A file of digits and '\n' alone, as written above, decodes from its bytes.
@@ -272,7 +299,7 @@ def write_fbin_file(path: "str | Path", bs: BitString) -> None:
     """Write the packed binary codec ('.fbin'): magic, u32 length, payload."""
     if bs.length >= 1 << 32:
         raise InvalidArgumentError("bit length does not fit the 32-bit header field")
-    Path(path).write_bytes(FBIN_MAGIC + bs.length.to_bytes(4, "big") + bs.pack())
+    write_file(path, FBIN_MAGIC + bs.length.to_bytes(4, "big") + bs.pack())
 
 
 def read_fbin_file(path: "str | Path") -> BitString:

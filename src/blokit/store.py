@@ -89,6 +89,10 @@ def _manifest_line(e: ManifestEntry) -> str:
     )
 
 
+def _open_nofollow(path: str, flags: int) -> int:
+    return os.open(path, flags | os.O_NOFOLLOW, 0o666)
+
+
 def _check_id(kind: str, value: str) -> None:
     if not value or value in (".", "..") or not _FORBIDDEN_ID_CHARS.isdisjoint(value):
         raise InvalidArgumentError(f"malformed {kind} id: {value!r}")
@@ -144,8 +148,10 @@ class TemplateStore:
                 entries.append(entry)
             # Not e.to_line(): perfbench's tracer wraps every public method,
             # and a span per re-encoded entry would swamp the store's own spans.
-            text = "".join(_manifest_line(e) + "\n" for e in entries)
-            self.manifest_path.write_text(text, encoding="utf-8")
+            data = "".join(_manifest_line(e) + "\n" for e in entries).encode("utf-8")
+            # O_NOFOLLOW: a symlinked manifest fails rather than write outside the root.
+            with open(self.manifest_path, "wb", opener=_open_nofollow) as f:
+                f.write(data)
         except OSError as exc:
             raise StorageError(f"cannot write to store at {self.root}: {exc}") from exc
 

@@ -24,7 +24,7 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bits import BitString, FeatureVector
+from .bits import BitString, FeatureVector, write_file
 from .errors import InvalidArgumentError, MalformedInputError
 
 BLO_MAGIC = b"BLO1"
@@ -244,7 +244,7 @@ def write_template_file(path: "str | Path", tpl: ProtectedTemplate) -> None:
         tpl.original_length,
         tpl.data.length,
     )
-    Path(path).write_bytes(header + tpl.data.pack())
+    write_file(path, header + tpl.data.pack())
 
 
 def read_template_file(path: "str | Path") -> ProtectedTemplate:

@@ -1,6 +1,9 @@
 import hashlib
+import os
+from pathlib import Path
 import random
 import re
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +32,9 @@ from blokit.bits import (
     write_bits_file,
     write_fbin_file,
     write_feature,
+    write_file,
 )
+from blokit.transform import TransformParams, transform, write_template_file
 
 from conftest import (
     bit_strings,
@@ -467,3 +472,88 @@ class TestBitsCodecAgainstOracle:
         path = tmp_path / "x.bits"
         path.write_bytes(raw)
         self.assert_reads_as_oracle(path)
+
+
+class TestWriteFile:
+    def test_shorter_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "f.bits"
+        write_bits_file(path, random_bits(4096, 1))
+        inode = path.stat().st_ino
+        bs = random_bits(100, 2)
+        write_bits_file(path, bs)
+        assert path.read_bytes() == oracle_bits_file_text(bs).encode("ascii")
+        assert path.stat().st_ino == inode
+
+    def test_rewrite_through_a_symlink_updates_the_target(self, tmp_path):
+        target, link = tmp_path / "target.fbin", tmp_path / "link.fbin"
+        write_fbin_file(target, random_bits(4096, 1))
+        link.symlink_to(target.name)
+        write_fbin_file(link, from_text("1010"))
+        assert link.is_symlink()
+        assert target.read_bytes() == b"FBV1" + (4).to_bytes(4, "big") + b"\xa0"
+
+    def test_rewrite_of_a_hard_link_updates_the_shared_file(self, tmp_path):
+        first, second = tmp_path / "a.bits", tmp_path / "b.bits"
+        write_bits_file(first, random_bits(4096, 1))
+        os.link(first, second)
+        write_bits_file(second, from_text("0110"))
+        assert first.read_bytes() == second.read_bytes() == b"0110\n"
+        assert first.stat().st_nlink == 2
+
+    def test_dev_null_is_a_target(self):
+        write_bits_file(os.devnull, random_bits(100, 1))
+        write_file(os.devnull, b"")
+
+    def test_fifo_is_a_target(self, tmp_path):
+        fifo = tmp_path / "f.fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_bits_file(fifo, from_text("0110"))
+        reader.join(timeout=10)
+        assert read == [b"0110\n"]
+
+    def test_short_writes_are_written_on(self, tmp_path, monkeypatch):
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:1000]))
+        bs = random_bits(50_000, 3)
+        path = tmp_path / "f.bits"
+        write_bits_file(path, bs)
+        assert path.read_bytes() == oracle_bits_file_text(bs).encode("ascii")
+
+    @pytest.mark.parametrize("name", ["missing/f.bits", "./x.bits"])
+    def test_os_error_text_is_the_old_writers(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x.bits").mkdir()  # a directory where the file should be
+        with pytest.raises(OSError) as old:
+            Path(name).write_bytes(b"0\n")
+        with pytest.raises(type(old.value), match=f"^{re.escape(str(old.value))}$"):
+            write_bits_file(name, from_text("0"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(old=st.binary(max_size=300), new=st.binary(max_size=300))
+    def test_file_holds_exactly_the_new_bytes(self, tmp_path_factory, old, new):
+        path = tmp_path_factory.getbasetemp() / "rewrite.bin"
+        path.write_bytes(old)
+        write_file(path, new)
+        assert path.read_bytes() == new
+
+    def test_codec_writers_never_truncate_on_open(self, tmp_path, monkeypatch):
+        # Cutting a file to zero on open makes ext4 flush on close: the
+        # writers overwrite in place and cut only the excess.
+        flags = []
+        os_open = os.open
+
+        def recorded(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return os_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recorded)
+        fv = FeatureVector(random_bits(300, 4))
+        for _ in range(2):  # a new file, then a rewrite
+            write_feature(tmp_path / "f.bits", fv)
+            write_feature(tmp_path / "f.fbin", fv)
+            write_template_file(tmp_path / "t.blo", transform(fv, TransformParams(5)))
+        assert len(flags) == 6
+        assert not any(flag & os.O_TRUNC for flag in flags)

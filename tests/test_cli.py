@@ -57,6 +57,21 @@ class TestPipeline:
         write_feature(copy, read_feature(GEN_1795_SEED7_BITS))
         assert copy.read_bytes() == golden
 
+    def test_shorter_gen_over_a_longer_file_writes_the_golden_bits_file(self, tmp_path):
+        f = tmp_path / "f.bits"
+        ok(["gen", "--bits", "4096", "--seed", "7", "--out", str(f)])
+        ok(["gen", "--bits", "1795", "--seed", "7", "--out", str(f)])
+        assert f.read_bytes() == GEN_1795_SEED7_BITS.read_bytes()
+
+    def test_shorter_enroll_over_a_longer_template_writes_the_fresh_bytes(self, tmp_path):
+        long, t, fresh = tmp_path / "long.bits", tmp_path / "t.blo", tmp_path / "fresh.blo"
+        ok(["gen", "--bits", "4096", "--seed", "7", "--out", str(long)])
+        ok(["enroll", "--in", str(long), "--block-size", "5", "--out", str(t)])
+        for out in (t, fresh):
+            ok(["enroll", "--in", str(GEN_1795_SEED7_BITS), "--block-size", "5", "--out", str(out)])
+        assert t.read_bytes() == fresh.read_bytes()
+        assert len(fresh.read_bytes()) == 16 + 180  # header and 1436 packed bits
+
     def test_genuine_probe_matches_itself(self, tmp_path):
         f = tmp_path / "f.bits"
         t = tmp_path / "t.blo"
@@ -302,6 +317,18 @@ class TestStoreCommands:
             "--in", str(f1), "--block-size", "5"])
         assert run(["store", "auth", "--root", str(root), "--device", "d1", "--user", "u1",
                     "--probe", str(f2)]).exit_code == 2
+
+    def test_enroll_through_a_dangling_manifest_symlink_is_error(self, tmp_path):
+        root = tmp_path / "store"
+        root.mkdir()
+        (root / "manifest.tsv").symlink_to("../outside.tsv")
+        f = tmp_path / "f.bits"
+        ok(["gen", "--bits", "20", "--seed", "1", "--out", str(f)])
+        outcome = run(["store", "enroll", "--root", str(root), "--device", "d1", "--user", "u1",
+                       "--in", str(f), "--block-size", "5"])
+        assert outcome.exit_code == 1
+        assert outcome.stderr.startswith(f"blokit: error: cannot write to store at {root}: ")
+        assert not (tmp_path / "outside.tsv").exists()
 
     def test_non_utf8_manifest_is_one_line_error(self, tmp_path):
         root = tmp_path / "store"

@@ -161,6 +161,27 @@ class TestListRecords:
             store.enroll(record("d1", "u1", FeatureVector(random_bits(20, 1))))
         assert os.path.islink(store.manifest_path)
 
+    @pytest.mark.parametrize("target", ["../outside.tsv", "elsewhere.tsv"])
+    def test_enroll_through_a_manifest_symlink_fails(self, tmp_path, target):
+        root = tmp_path / "root"
+        root.mkdir()
+        store = TemplateStore(root)
+        os.symlink(target, store.manifest_path)
+        with pytest.raises(StorageError, match="^cannot write to store at "):
+            store.enroll(record("d1", "u1", FeatureVector(random_bits(20, 1))))
+        assert os.path.islink(store.manifest_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["root"]
+        assert sorted(p.name for p in root.iterdir()) == ["d1", "manifest.tsv"]
+
+    def test_unencodable_id_leaves_the_manifest_as_it_was(self, store):
+        # A non-UTF-8 byte in argv reaches an id as a lone surrogate.
+        fv = FeatureVector(random_bits(20, 1))
+        store.enroll(record("d1", "alice", fv))
+        before = store.manifest_path.read_bytes()
+        with pytest.raises(ValueError):
+            store.enroll(record("d1", "\udcff", fv))
+        assert store.manifest_path.read_bytes() == before
+
     @pytest.mark.parametrize(
         "tail, line_no",
         [
