@@ -161,17 +161,18 @@ class TestListRecords:
             store.enroll(record("d1", "u1", FeatureVector(random_bits(20, 1))))
         assert os.path.islink(store.manifest_path)
 
-    @pytest.mark.parametrize("target", ["../outside.tsv", "elsewhere.tsv"])
-    def test_enroll_through_a_manifest_symlink_fails(self, tmp_path, target):
-        root = tmp_path / "root"
+    @pytest.mark.parametrize("outside", [None, b"d0\tu0\td0/u0.blo\t5\t20\t1\n"])
+    def test_enroll_through_a_manifest_symlink_writes_nothing_outside(self, tmp_path, outside):
+        root, target = tmp_path / "root", tmp_path / "outside.tsv"
         root.mkdir()
+        if outside is not None:
+            target.write_bytes(outside)
         store = TemplateStore(root)
-        os.symlink(target, store.manifest_path)
+        os.symlink("../outside.tsv", store.manifest_path)
         with pytest.raises(StorageError, match="^cannot write to store at "):
             store.enroll(record("d1", "u1", FeatureVector(random_bits(20, 1))))
         assert os.path.islink(store.manifest_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["root"]
-        assert sorted(p.name for p in root.iterdir()) == ["d1", "manifest.tsv"]
+        assert (target.read_bytes() if target.exists() else None) == outside
 
     def test_unencodable_id_leaves_the_manifest_as_it_was(self, store):
         # A non-UTF-8 byte in argv reaches an id as a lone surrogate.
