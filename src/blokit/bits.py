@@ -127,7 +127,7 @@ class BitString:
         return BitString(self.value ^ ((1 << self.length) - 1), self.length)
 
     def count_ones(self) -> int:
-        return bin(self.value).count("1")
+        return self.value.bit_count()
 
     def pack(self) -> bytes:
         """Pack 8 bits per byte, bit 0 at the MSB of the first byte.
@@ -184,7 +184,7 @@ def hamming_distance(x: BitString, y: BitString) -> int:
     """Count of positions where x and y differ; requires equal lengths."""
     if x.length != y.length:
         raise DimensionError(f"length mismatch: {x.length} != {y.length}")
-    return bin(x.value ^ y.value).count("1")
+    return (x.value ^ y.value).bit_count()
 
 
 def _stream_seed(seed: int, stream: "int | str") -> int:

@@ -15,7 +15,6 @@ import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import bits
 from .analysis import (
@@ -26,7 +25,7 @@ from .analysis import (
 )
 from .attack import build_table, count_preimages, enumerate_preimages, forge
 from .bits import BitString, FeatureVector, from_text, random_bits
-from .errors import BlokitError, CapacityError, InvalidArgumentError
+from .errors import BlokitError, CapacityError, InvalidArgumentError, StorageError
 from .matcher import match_templates
 from .store import TemplateStore
 from .transform import (
@@ -308,9 +307,16 @@ def _cmd_analyze_revoke(ns: argparse.Namespace) -> int:
 
 
 def _cmd_store_enroll(ns: argparse.Namespace) -> int:
-    Path(ns.root).mkdir(parents=True, exist_ok=True)
-    fv = bits.read_feature(ns.infile)
-    TemplateStore(ns.root).enroll_feature(ns.device, ns.user, fv, _params(ns))
+    fv, params, store = bits.read_feature(ns.infile), _params(ns), TemplateStore(ns.root)
+    try:
+        store.enroll_feature(ns.device, ns.user, fv, params)
+    except StorageError:
+        # enroll refuses bad input before it looks for the root, so a missing
+        # root is made only for an enrollment nothing else refuses.
+        if store.root.exists():
+            raise
+        store.root.mkdir(parents=True)
+        store.enroll_feature(ns.device, ns.user, fv, params)
     return EXIT_OK
 
 

@@ -6,8 +6,9 @@ per user inside it, and a line-oriented manifest at the root:
     manifest.tsv: deviceId <TAB> userId <TAB> filename <TAB> blockSize
                   <TAB> originalLength <TAB> enrolledAt
 
-Re-enrolling a (device, user) pair replaces the template and updates the
-manifest line in place, so listing order is stable.  Single writer,
+Re-enrolling a (device, user) pair replaces the template and updates its
+manifest line in place, so listing order is stable; every other line is
+written back as read.  Single writer,
 multiple readers; concurrent writers are out of contract.  Templates are
 stored in the clear on purpose: the point of the exercise is that the
 templates themselves are the vulnerability.
@@ -68,7 +69,10 @@ class ManifestEntry:
 
     def to_line(self) -> str:
         """The manifest line for this entry, without its newline."""
-        return _manifest_line(self)
+        return (
+            f"{self.device_id}\t{self.user_id}\t{self.filename}\t{self.block_size}"
+            f"\t{self.original_length}\t{self.enrolled_at}"
+        )
 
     @classmethod
     def from_line(cls, line: str, line_no: int) -> "ManifestEntry":
@@ -80,13 +84,6 @@ class ManifestEntry:
             return cls(parts[0], parts[1], parts[2], int(parts[3]), int(parts[4]), int(parts[5]))
         except ValueError as exc:
             raise ManifestError(line_no, str(exc)) from exc
-
-
-def _manifest_line(e: ManifestEntry) -> str:
-    return (
-        f"{e.device_id}\t{e.user_id}\t{e.filename}\t{e.block_size}"
-        f"\t{e.original_length}\t{e.enrolled_at}"
-    )
 
 
 def _open_nofollow(path: str, flags: int) -> int:
@@ -120,35 +117,36 @@ class TemplateStore:
         """Persist the template and add or replace its manifest entry."""
         _check_id("device", record.device_id)
         _check_id("user", record.user_id)
-        self._require_root()
         filename = f"{record.device_id}/{record.user_id}.blo"
-        entry = ManifestEntry(
+        line = ManifestEntry(
             device_id=record.device_id,
             user_id=record.user_id,
             filename=filename,
             block_size=record.template.params.block_size,
             original_length=record.template.original_length,
             enrolled_at=record.enrolled_at,
-        )
+        ).to_line()
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate: a non-UTF-8 byte in argv
+            on_device = exc.start < len(record.device_id)
+            kind, value = ("device", record.device_id) if on_device else ("user", record.user_id)
+            raise InvalidArgumentError(f"malformed {kind} id: {value!r}") from None
         path = self.root / Path(filename)
         try:
-            # The device directory is made only once the write needs it, so a
-            # template the header cannot hold leaves nothing behind.
+            # The root is checked, and the device directory made, only once the
+            # write needs them, so a template the header cannot hold is refused first.
             try:
                 write_template_file(path, record.template)
             except FileNotFoundError:
+                self._require_root()
                 path.parent.mkdir()
                 write_template_file(path, record.template)
-            entries = self.list_records()
-            for i, existing in enumerate(entries):
-                if (existing.device_id, existing.user_id) == (record.device_id, record.user_id):
-                    entries[i] = entry
-                    break
-            else:
-                entries.append(entry)
-            # Not e.to_line(): perfbench's tracer wraps every public method,
-            # and a span per re-encoded entry would swamp the store's own spans.
-            data = "".join(_manifest_line(e) + "\n" for e in entries).encode("utf-8")
+            entries, lines = self._read_manifest()
+            pair = (record.device_id, record.user_id)
+            at = next((i for i, e in enumerate(entries) if (e.device_id, e.user_id) == pair), len(lines))
+            lines[at : at + 1] = [line]  # the pair's line replaced, or appended
+            data = ("\n".join(lines) + "\n").encode("utf-8")
             # O_NOFOLLOW: a symlinked manifest fails rather than write outside the root.
             with open(self.manifest_path, "wb", opener=_open_nofollow) as f:
                 f.write(data)
@@ -211,13 +209,21 @@ class TemplateStore:
 
     def list_records(self) -> "list[ManifestEntry]":
         """Manifest entries in manifest order; empty store gives an empty list."""
+        return self._read_manifest()[0]
+
+    def _read_manifest(self) -> "tuple[list[ManifestEntry], list[str]]":
+        """The manifest's entries and, index for index, their lines as read.
+
+        Two lists, not a tuple per line: such tuples double the objects the
+        garbage collector's young-generation passes scan during an enroll.
+        """
         self._require_root()
         try:
             with open(self.manifest_path, "rb") as f:
                 raw = f.read()
         except OSError as exc:
             if exc.errno in _ABSENT_ERRNOS:  # no manifest yet: an empty store
-                return []
+                return [], []
             raise
         try:
             text = raw.decode("utf-8")
@@ -226,8 +232,6 @@ class TemplateStore:
             # agrees with from_line's; "?" stands in for the bad byte.
             line_no = len((raw[: exc.start].decode("utf-8") + "?").splitlines())
             raise ManifestError(line_no, f"not UTF-8 text (byte {exc.start})") from exc
-        return [
-            ManifestEntry.from_line(line, line_no)
-            for line_no, line in enumerate(text.splitlines(), start=1)
-            if line
-        ]
+        lines = text.splitlines()
+        entries = [ManifestEntry.from_line(line, n) for n, line in enumerate(lines, start=1) if line]
+        return entries, [line for line in lines if line]

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -347,6 +348,41 @@ class TestStoreCommands:
         ):
             outcome = run(args)
             assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (1, "", error), args
+
+    def test_unencodable_id_is_one_line_error(self, tmp_path):
+        # A non-UTF-8 byte in argv reaches an id as a lone surrogate.
+        root, f = tmp_path / "store", tmp_path / "f.bits"
+        ok(["gen", "--bits", "20", "--seed", "1", "--out", str(f)])
+        ok(["store", "enroll", "--root", str(root), "--device", "d1", "--user", "u1",
+            "--in", str(f), "--block-size", "5"])
+        manifest = (root / "manifest.tsv").read_bytes()
+        outcome = run(["store", "enroll", "--root", str(root), "--device", "\udcff", "--user",
+                       "u1", "--in", str(f), "--block-size", "5"])
+        assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (
+            1, "", "blokit: error: malformed device id: '\\udcff'\n")
+        assert sorted(p.name for p in root.iterdir()) == ["d1", "manifest.tsv"]
+        assert (root / "manifest.tsv").read_bytes() == manifest
+
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [
+            ("--device", "a/b", "malformed device id: 'a/b'"),
+            ("--block-size", "65537", "block size 65537 does not fit the 16-bit header field"),
+            ("--in", "missing.bits", "[Errno 2] No such file or directory: 'missing.bits'"),
+        ],
+        ids=["malformed-id", "block-size-65537", "missing-in"],
+    )
+    def test_refused_enroll_creates_no_root(self, tmp_path, monkeypatch, flag, value, error):
+        monkeypatch.chdir(tmp_path)
+        ok(["gen", "--bits", "20", "--seed", "1", "--out", "f.bits"])
+        args = {"--root": "new/x/y", "--device": "d1", "--user": "u1", "--in": "f.bits",
+                "--block-size": "5"}
+        outcome = run(["store", "enroll", *chain(*{**args, flag: value}.items())])
+        assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (
+            1, "", f"blokit: error: {error}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["f.bits"]
+        ok(["store", "enroll", *chain(*args.items())])
+        assert sorted(p.name for p in (tmp_path / "new/x/y").iterdir()) == ["d1", "manifest.tsv"]
 
     @pytest.mark.parametrize("change", ["truncate", "extend"])
     def test_payload_size_errors_name_the_file(self, tmp_path, change):

@@ -12,6 +12,7 @@ from blokit import (
     FeatureVector,
     InvalidArgumentError,
     MalformedInputError,
+    ManifestEntry,
     ManifestError,
     PaddingPolicy,
     ProtectedTemplate,
@@ -25,6 +26,7 @@ from blokit import (
     transform,
 )
 from blokit.transform import write_template_file
+from conftest import DATA_DIR
 
 ZP = TransformParams(5)
 
@@ -179,9 +181,16 @@ class TestListRecords:
         fv = FeatureVector(random_bits(20, 1))
         store.enroll(record("d1", "alice", fv))
         before = store.manifest_path.read_bytes()
-        with pytest.raises(ValueError):
-            store.enroll(record("d1", "\udcff", fv))
+        for device, user, error in [
+            ("\udcff", "alice", r"^malformed device id: '\\udcff'$"),
+            ("d2", "\udcff", r"^malformed user id: '\\udcff'$"),
+            ("\udcff", "\ud800", r"^malformed device id: '\\udcff'$"),
+        ]:
+            with pytest.raises(InvalidArgumentError, match=error):
+                store.enroll(record(device, user, fv))
         assert store.manifest_path.read_bytes() == before
+        assert sorted(os.listdir(store.root)) == ["d1", "manifest.tsv"]
+        assert os.listdir(store.root / "d1") == ["alice.blo"]
 
     @pytest.mark.parametrize(
         "tail, line_no",
@@ -220,6 +229,60 @@ class TestListRecords:
         except ManifestError:
             return
         assert all(isinstance(e.block_size, int) for e in entries)
+
+
+# (device, user, feature bits, block size, enrolled_at); the last four re-enroll earlier pairs.
+GOLDEN_ENROLLS = [
+    *((f"d{i % 3 + 1}", f"u{i}", 20 + 7 * i, (3, 5, 7)[i % 3], 1_700_000_000 + i) for i in range(12)),
+    ("d2", "u1", 33, 9, 1_700_000_100),
+    ("d1", "u0", 64, 5, 1_700_000_101),
+    ("d3", "u11", 15, 3, 1_700_000_102),
+    ("d1", "u6", 40, 11, 1_700_000_103),
+]
+
+
+class TestManifestWrites:
+    """enroll encodes its own line and writes every other line back as read."""
+
+    def test_manifest_bytes_match_the_golden_file(self, store):
+        for device, user, bits, b, when in GOLDEN_ENROLLS:
+            tpl = transform(FeatureVector(random_bits(bits, when)), TransformParams(b))
+            store.enroll(EnrollmentRecord(device, user, tpl, when))
+        golden = (DATA_DIR / "store_manifest_golden.tsv").read_bytes()
+        assert store.manifest_path.read_bytes() == golden
+
+    def test_enroll_encodes_at_most_one_line(self, store, monkeypatch):
+        fv = FeatureVector(random_bits(20, 1))
+        for i in range(50):
+            store.enroll(record(f"d{i % 5}", f"u{i}", fv))
+        encoded = []
+        to_line = ManifestEntry.to_line
+        monkeypatch.setattr(ManifestEntry, "to_line", lambda e: encoded.append(e) or to_line(e))
+        for device, user in [("d2", "u7"), ("d9", "new")]:  # a re-enroll, then a new pair
+            encoded.clear()
+            store.enroll(record(device, user, fv, when=2))
+            assert len(encoded) <= 1, (device, user)
+        assert len(store.list_records()) == 51
+
+    @pytest.mark.parametrize("user", ["u1", "u2", "u3"])
+    def test_non_integer_field_stops_enroll_naming_the_line(self, store, user):
+        fv = FeatureVector(random_bits(20, 1))
+        store.enroll(record("d1", "u1", fv))
+        manifest = store.manifest_path
+        manifest.write_bytes(manifest.read_bytes() + b"d1\tu2\td1/u2.blo\tfive\t20\t1\n")
+        before = manifest.read_bytes()
+        with pytest.raises(ManifestError, match="^manifest line 2: invalid literal for int"):
+            store.enroll(record("d1", user, fv))
+        assert manifest.read_bytes() == before
+
+    def test_hand_edited_line_survives_an_unrelated_enroll_verbatim(self, store):
+        hand = "d0\tu0\td0/u0.blo\t05\t 20\t+7"
+        store.manifest_path.write_text(hand + "\n")
+        fv = FeatureVector(random_bits(20, 1))
+        store.enroll(record("d1", "u1", fv, when=3))
+        store.enroll(record("d1", "u1", fv, when=4))
+        assert store.manifest_path.read_text() == f"{hand}\nd1\tu1\td1/u1.blo\t5\t20\t4\n"
+        assert store.list_records()[0] == ManifestEntry("d0", "u0", "d0/u0.blo", 5, 20, 7)
 
 
 def fd_count():
