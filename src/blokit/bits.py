@@ -10,10 +10,11 @@ Conventions used everywhere in this package:
   the bytes are checked first: digits and '\n' alone decode straight
   from the bytes, and only other input is decoded as UTF-8 text, to skip
   other whitespace or to name a fault.
-- Every file codec writes through ``write_file``, which replaces an
-  existing file's content in place: links are followed, the file keeps
-  its inode and is cut to the new length.  Like ``Path.write_bytes``,
-  the write is not atomic.
+- Every file this package writes goes through ``write_fd``, which
+  replaces an existing file's content in place: the file keeps its inode
+  and is cut to the new length.  Like ``Path.write_bytes``, the write is
+  not atomic.  The file codecs open through ``write_file``, which follows
+  links; the store opens its own files with O_NOFOLLOW.
 - Randomness comes from ``random.Random`` (Mersenne Twister).  The
   generator for a draw is seeded with the SHA-256 digest of the 64-bit
   master seed and a stream label, so independent streams split off one
@@ -242,15 +243,13 @@ class FeatureVector:
         return self.data.length
 
 
-def write_file(path: "str | Path", data: bytes) -> None:
-    """Write ``data`` as the whole content of ``path``, overwriting in place.
+def write_fd(fd: int, data: bytes) -> None:
+    """Write ``data`` as the whole content of the file open at ``fd``, in place; close ``fd``.
 
-    Not opened with O_TRUNC: cutting a non-empty file to zero and closing
-    it makes some filesystems (ext4's replace-via-truncate heuristic)
-    start writeback at once, which costs far more than the write.
+    The file must not be opened with O_TRUNC: cutting a non-empty file to
+    zero and closing it makes some filesystems (ext4's replace-via-truncate
+    heuristic) start writeback at once, which costs far more than the write.
     """
-    # Opened as a Path, so an OSError names the normalised path, as write_bytes does.
-    fd = os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         view = memoryview(data)
         while view:  # a write above about 2 GiB comes back short
@@ -261,6 +260,12 @@ def write_file(path: "str | Path", data: bytes) -> None:
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
+
+
+def write_file(path: "str | Path", data: bytes) -> None:
+    """Write ``data`` as the whole content of ``path`` through ``write_fd``, following links."""
+    # Opened as a Path, so an OSError names the normalised path, as write_bytes does.
+    write_fd(os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666), data)
 
 
 def write_bits_file(path: "str | Path", bs: BitString) -> None:

@@ -358,10 +358,7 @@ def run(argv: "list[str]") -> CommandOutcome:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    outcome = run(sys.argv[1:] if argv is None else argv)
-    sys.stdout.write(outcome.stdout)
-    sys.stderr.write(outcome.stderr)
-    return outcome.exit_code
+    return _dispatch(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

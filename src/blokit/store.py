@@ -8,10 +8,13 @@ per user inside it, and a line-oriented manifest at the root:
 
 Re-enrolling a (device, user) pair replaces the template and updates its
 manifest line in place, so listing order is stable; every other line is
-written back as read.  Single writer,
-multiple readers; concurrent writers are out of contract.  Templates are
-stored in the clear on purpose: the point of the exercise is that the
-templates themselves are the vulnerability.
+written back as read.  An enroll makes every refusal before its first
+write, then rewrites the '.blo' and the manifest in place through
+``bits.write_fd``, each opened with O_NOFOLLOW so that neither is written
+through a link.  Neither write is atomic.  Single writer, multiple
+readers; concurrent writers are out of contract.  Templates are stored in
+the clear on purpose: the point of the exercise is that the templates
+themselves are the vulnerability.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bits import FeatureVector
+from .bits import FeatureVector, write_fd
 from .errors import (
     InvalidArgumentError,
     ManifestError,
@@ -35,8 +38,8 @@ from .transform import (
     ProtectedTemplate,
     TransformParams,
     decode_template,
+    encode_template,
     transform,
-    write_template_file,
 )
 
 MANIFEST_NAME = "manifest.tsv"
@@ -86,10 +89,6 @@ class ManifestEntry:
             raise ManifestError(line_no, str(exc)) from exc
 
 
-def _open_nofollow(path: str, flags: int) -> int:
-    return os.open(path, flags | os.O_NOFOLLOW, 0o666)
-
-
 def _check_id(kind: str, value: str) -> None:
     if not value or value in (".", "..") or not _FORBIDDEN_ID_CHARS.isdisjoint(value):
         raise InvalidArgumentError(f"malformed {kind} id: {value!r}")
@@ -132,24 +131,18 @@ class TemplateStore:
             on_device = exc.start < len(record.device_id)
             kind, value = ("device", record.device_id) if on_device else ("user", record.user_id)
             raise InvalidArgumentError(f"malformed {kind} id: {value!r}") from None
+        blo = encode_template(record.template)  # a template the header cannot hold is refused first
         path = self.root / Path(filename)
         try:
-            # The root is checked, and the device directory made, only once the
-            # write needs them, so a template the header cannot hold is refused first.
-            try:
-                write_template_file(path, record.template)
-            except FileNotFoundError:
-                self._require_root()
-                path.parent.mkdir()
-                write_template_file(path, record.template)
             entries, lines = self._read_manifest()
             pair = (record.device_id, record.user_id)
             at = next((i for i, e in enumerate(entries) if (e.device_id, e.user_id) == pair), len(lines))
             lines[at : at + 1] = [line]  # the pair's line replaced, or appended
-            data = ("\n".join(lines) + "\n").encode("utf-8")
-            # O_NOFOLLOW: a symlinked manifest fails rather than write outside the root.
-            with open(self.manifest_path, "wb", opener=_open_nofollow) as f:
-                f.write(data)
+            manifest = ("\n".join(lines) + "\n").encode("utf-8")
+            path.parent.mkdir(exist_ok=True)
+            # O_NOFOLLOW: a symlinked .blo or manifest fails rather than write outside the root.
+            for target, data in ((path, blo), (self.manifest_path, manifest)):
+                write_fd(os.open(target, os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW, 0o666), data)
         except OSError as exc:
             raise StorageError(f"cannot write to store at {self.root}: {exc}") from exc
 

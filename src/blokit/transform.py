@@ -228,8 +228,8 @@ def transform(fv: "FeatureVector | BitString", params: TransformParams) -> Prote
     )
 
 
-def write_template_file(path: "str | Path", tpl: ProtectedTemplate) -> None:
-    """Write the '.blo' codec: magic, version, policy, sizes, packed payload."""
+def encode_template(tpl: ProtectedTemplate) -> bytes:
+    """The '.blo' codec: magic, version, policy, sizes, packed payload."""
     if tpl.original_length >= 1 << 32 or tpl.data.length >= 1 << 32:
         raise InvalidArgumentError("lengths do not fit the 32-bit header fields")
     if tpl.params.block_size >= 1 << 16:
@@ -244,7 +244,12 @@ def write_template_file(path: "str | Path", tpl: ProtectedTemplate) -> None:
         tpl.original_length,
         tpl.data.length,
     )
-    write_file(path, header + tpl.data.pack())
+    return header + tpl.data.pack()
+
+
+def write_template_file(path: "str | Path", tpl: ProtectedTemplate) -> None:
+    """Write ``encode_template(tpl)`` to ``path`` through ``bits.write_file``."""
+    write_file(path, encode_template(tpl))
 
 
 def read_template_file(path: "str | Path") -> ProtectedTemplate:

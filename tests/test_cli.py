@@ -1,3 +1,4 @@
+import io
 import subprocess
 import sys
 from itertools import chain
@@ -147,6 +148,22 @@ class TestAttackPreimage:
             ["attack", "preimage", "--template", str(template), "--enumerate", "--limit", "3"]
         )
         assert len(outcome.stdout.splitlines()) == 3
+
+    def test_main_streams_forgeries_as_they_are_made(self, template, monkeypatch):
+        args = ["attack", "preimage", "--template", str(template), "--enumerate", "--limit", "3"]
+        writes = []
+
+        class CountingStdout(io.StringIO):
+            def write(self, s):
+                writes.append(s)
+                return super().write(s)
+
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(args) == 0
+        monkeypatch.undo()
+        assert len(writes) > 1
+        assert out.getvalue() == ok(args).stdout
 
     def test_enumerate_requires_limit(self, template):
         assert run(["attack", "preimage", "--template", str(template), "--enumerate"]).exit_code == 1

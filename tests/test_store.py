@@ -2,6 +2,7 @@ import os
 import signal
 import socket
 import struct
+from pathlib import Path
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -283,6 +284,60 @@ class TestManifestWrites:
         store.enroll(record("d1", "u1", fv, when=4))
         assert store.manifest_path.read_text() == f"{hand}\nd1\tu1\td1/u1.blo\t5\t20\t4\n"
         assert store.list_records()[0] == ManifestEntry("d0", "u0", "d0/u0.blo", 5, 20, 7)
+
+
+def store_state(root):
+    """Each path under ``root``: the target of a link, ``None`` for a directory, else its bytes."""
+    state = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames + filenames:
+            path = Path(dirpath, name)
+            key = str(path.relative_to(root))
+            if path.is_symlink():
+                state[key] = ("link", os.readlink(path))
+            else:
+                state[key] = None if path.is_dir() else path.read_bytes()
+    return state
+
+
+class TestEnrollRefusesBeforeWriting:
+    """enroll reads and checks the manifest before it writes either file."""
+
+    @pytest.mark.parametrize(
+        "tail", [b"broken line\n", b"d1\tu2\td1/u2.blo\tfive\t20\t1\n", b"\xff\n"],
+        ids=["fields", "integer", "utf8"],
+    )
+    @pytest.mark.parametrize(
+        "device, user", [("d9", "u9"), ("d1", "u9"), ("d1", "u1")],
+        ids=["new-device", "new-user", "re-enroll"],
+    )
+    def test_bad_manifest_leaves_the_store_as_it_was(self, store, tail, device, user):
+        store.enroll(record("d1", "u1", FeatureVector(random_bits(20, 1))))
+        store.manifest_path.write_bytes(store.manifest_path.read_bytes() + tail)
+        before = store_state(store.root)
+        new = record(device, user, FeatureVector(random_bits(20, 2)), when=2)
+        assert new.template != store.load_template("d1", "u1")
+        with pytest.raises(ManifestError, match="^manifest line 2: "):
+            store.enroll(new)
+        assert store_state(store.root) == before
+
+    @pytest.mark.parametrize("link", ["existing", "dangling", "loop"])
+    def test_symlinked_blo_is_storage_error(self, tmp_path, link):
+        root, outside = tmp_path / "root", tmp_path / "outside.blo"
+        root.mkdir()
+        store = TemplateStore(root)
+        fv = FeatureVector(random_bits(20, 1))
+        store.enroll(record("d1", "u0", fv))
+        if link == "existing":
+            outside.write_bytes(b"outside")
+        os.symlink("u1.blo" if link == "loop" else "../../outside.blo", root / "d1" / "u1.blo")
+        before = store_state(root)
+        with pytest.raises(StorageError, match="^cannot write to store at "):
+            store.enroll(record("d1", "u1", fv))
+        assert store_state(root) == before
+        assert (outside.read_bytes() if outside.exists() else None) == (
+            b"outside" if link == "existing" else None
+        )
 
 
 def fd_count():
