@@ -3,8 +3,19 @@
 Exit codes: 0 success or accept, 1 usage or internal error,
 2 authentication reject, 3 capacity refusal.  Reports go to stdout,
 diagnostics to stderr; every randomized subcommand requires --seed and is
-byte-for-byte deterministic given its argument vector.  The process builds
-one parser, on its first command, and reuses it for every later one.
+byte-for-byte deterministic given its argument vector.
+
+The process builds one argparse parser, on its first command, and reuses
+it for every later one.  At the same moment it compiles lookup tables off
+that parser's tree: the command words, and for each leaf command its
+option strings, defaults, required options and mutually exclusive groups.
+An argument vector in plain form (command words, then exact option
+strings each given once, each value its own token not starting with '-'
+and accepted by the option's type and choices) is turned into the
+Namespace argparse would give, straight from the tables.  Every other
+vector (help, abbreviations, '--opt=value', repeats, negative numbers,
+every error) goes to argparse, which alone writes help, usage and error
+text.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bits
 from .analysis import (
@@ -190,6 +202,123 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
+class _Leaf(NamedTuple):
+    """A leaf command's parser, as the tables hold it."""
+
+    # option string -> (dest, type (None for a flag), choices, the flag's const)
+    options: "dict[str, tuple]"
+    # every dest argparse sets for this command: defaults, func, command words
+    defaults: "dict[str, object]"
+    required: "tuple[str, ...]"
+    # (member dests, whether one is required) per mutually exclusive group
+    groups: "tuple[tuple[frozenset, bool], ...]"
+
+
+def _compile(parser: argparse.ArgumentParser, inherited: "dict[str, object]") -> "dict | _Leaf | None":
+    """The tables for ``parser``'s subtree: a dict of command word -> subtree, or a leaf.
+
+    None stands for a parser with an action the tables do not model; its
+    argument vectors all go to argparse.  Each level's dests override the
+    level above, as argparse merges a subparser's namespace into its parent's.
+    """
+    defaults, options, required, sub = {}, {}, [], None
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            sub = action
+            continue
+        if type(action) is argparse._StoreAction and action.option_strings and action.nargs is None:
+            spec = (action.dest, action.type or str, action.choices, None)
+            # argparse passes a str default that no option replaced through the type.
+            if isinstance(action.default, str):
+                defaults[action.dest] = spec[1](action.default)
+        elif isinstance(action, argparse._StoreConstAction) and action.option_strings:
+            spec = (action.dest, None, None, action.const)
+        else:
+            return None
+        options.update(dict.fromkeys(action.option_strings, spec))
+        if action.required:
+            required.append(action.dest)
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    defaults = {**inherited, **defaults}
+    if sub is not None:
+        if options or sub.dest is argparse.SUPPRESS:
+            return None
+        return {word: _compile(child, {**defaults, sub.dest: word}) for word, child in sub.choices.items()}
+    groups = []
+    for group in parser._mutually_exclusive_groups:
+        members = group._group_actions
+        # argparse counts a member as given only when its value is not its
+        # default object.  A flag always counts; a value counts for sure
+        # only when the default is None, so other defaults go to argparse.
+        if any(a.nargs != 0 and a.default is not None for a in members):
+            return None
+        groups.append((frozenset(a.dest for a in members), group.required))
+    return _Leaf(options, defaults, tuple(required), tuple(groups))
+
+
+@functools.cache
+def _tables():
+    return _compile(_shared_parser(), {})
+
+
+def _from_tables(argv) -> "argparse.Namespace | None":
+    """The Namespace argparse gives for ``argv`` in plain form; None for any other ``argv``.
+
+    Plain form: a list or tuple of str; the command words; then each option
+    string exactly and once, each value its own token, not starting with
+    '-', and accepted by the option's type and choices; required options
+    given and group rules kept.
+    """
+    if not isinstance(argv, (list, tuple)):
+        return None
+    node, i, n = _tables(), 0, len(argv)
+    while type(node) is dict:
+        if i == n or type(argv[i]) is not str:
+            return None
+        node = node.get(argv[i])
+        i += 1
+    if node is None:
+        return None
+    options, values, required, groups = node
+    values, given = dict(values), set()
+    while i < n:
+        opt = argv[i]
+        spec = options.get(opt) if type(opt) is str else None
+        if spec is None or spec[0] in given:
+            return None
+        dest, convert, choices, const = spec
+        given.add(dest)
+        i += 1
+        if convert is None:
+            values[dest] = const
+            continue
+        text = argv[i] if i < n else None
+        if type(text) is not str or text.startswith("-"):
+            return None
+        try:
+            value = convert(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        i += 1
+    if not given.issuperset(required):
+        return None
+    for members, one_required in groups:
+        count = len(members & given)
+        if count > 1 or (one_required and not count):
+            return None
+    ns = argparse.Namespace()
+    vars(ns).update(values)
+    return ns
+
+
 def _synthetic_feature(ns: argparse.Namespace) -> FeatureVector:
     """The --bits feature drawn from --seed; refused before any draw beyond the u32 length fields."""
     bits.refuse_beyond_u32(ns.bits)
@@ -335,10 +464,12 @@ def _cmd_store_list(ns: argparse.Namespace) -> int:
 
 
 def _dispatch(argv: "list[str]") -> int:
-    try:
-        ns = _shared_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_ERROR
+    ns = _from_tables(argv)
+    if ns is None:
+        try:
+            ns = _shared_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return ns.func(ns)
     except CapacityError as exc:

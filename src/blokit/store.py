@@ -9,12 +9,14 @@ per user inside it, and a line-oriented manifest at the root:
 Re-enrolling a (device, user) pair replaces the template and updates its
 manifest line in place, so listing order is stable; every other line is
 written back as read.  An enroll makes every refusal before its first
-write, then rewrites the '.blo' and the manifest in place through
-``bits.write_fd``, each opened with O_NOFOLLOW so that neither is written
-through a link.  Neither write is atomic.  Single writer, multiple
-readers; concurrent writers are out of contract.  Templates are stored in
-the clear on purpose: the point of the exercise is that the templates
-themselves are the vulnerability.
+write, a '.blo' or manifest that is not a regular file (a link, FIFO,
+socket or directory) included, then rewrites the '.blo' and the manifest
+in place through ``bits.write_fd``, each opened with O_NOFOLLOW so that
+neither is written through a link.  Every open is O_NONBLOCK, so a FIFO
+never blocks a store call.  Neither write is atomic.  Single writer,
+multiple readers; concurrent writers are out of contract.  Templates are
+stored in the clear on purpose: the point of the exercise is that the
+templates themselves are the vulnerability.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ _FORBIDDEN_ID_CHARS = set('/\\\t\x00\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029')
 
 # The errnos that Path.exists and Path.is_file read as "no file there" (Python 3.10-3.13).
 _ABSENT_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
-# Opening a socket, or a device with no driver, fails with ENXIO: not a regular file either.
-_NO_FILE_ERRNOS = _ABSENT_ERRNOS | {errno.ENXIO}
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,28 @@ def _not_enrolled(device_id: str, user_id: str) -> RecordNotFoundError:
     return RecordNotFoundError(f"no enrollment for device={device_id} user={user_id}")
 
 
+def _read_regular(path: "str | Path") -> "bytes | None":
+    """The content of the regular file at ``path``; None if it is some other kind of file."""
+    try:
+        # O_NONBLOCK: a FIFO opens at once, then fails the regular-file check.
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError as exc:
+        if exc.errno == errno.ENXIO:  # a socket, or a device with no driver
+            return None
+        raise
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            return None
+        raw = os.read(fd, st.st_size + 1)
+        if len(raw) != st.st_size:  # a short read, or the file changed: read on to EOF
+            with open(fd, "rb", buffering=0, closefd=False) as f:
+                raw += f.readall()
+        return raw
+    finally:
+        os.close(fd)
+
+
 class TemplateStore:
     """Enrollment store rooted at an existing writable directory."""
 
@@ -139,10 +161,22 @@ class TemplateStore:
             at = next((i for i, e in enumerate(entries) if (e.device_id, e.user_id) == pair), len(lines))
             lines[at : at + 1] = [line]  # the pair's line replaced, or appended
             manifest = ("\n".join(lines) + "\n").encode("utf-8")
+            writes = ((path, blo), (self.manifest_path, manifest))
+            for target, _ in writes:
+                try:
+                    mode = os.lstat(target).st_mode
+                except FileNotFoundError:
+                    continue
+                if not stat.S_ISREG(mode):
+                    raise StorageError(
+                        f"cannot write to store at {self.root}: {target} is not a regular file"
+                    )
             path.parent.mkdir(exist_ok=True)
-            # O_NOFOLLOW: a symlinked .blo or manifest fails rather than write outside the root.
-            for target, data in ((path, blo), (self.manifest_path, manifest)):
-                write_fd(os.open(target, os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW, 0o666), data)
+            # O_NOFOLLOW: a link made since the check above fails rather than
+            # write outside the root; O_NONBLOCK: a FIFO fails rather than block.
+            flags = os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW | os.O_NONBLOCK
+            for target, data in writes:
+                write_fd(os.open(target, flags, 0o666), data)
         except OSError as exc:
             raise StorageError(f"cannot write to store at {self.root}: {exc}") from exc
 
@@ -171,25 +205,16 @@ class TemplateStore:
         # The text of self.root / device_id / name, which drops a "." root.
         path = os.path.join(root if root != "." else "", device_id, f"{user_id}.blo")
         try:
-            # O_NONBLOCK: a FIFO opens at once, then fails the regular-file check.
-            fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+            raw = _read_regular(path)
         except (OSError, ValueError) as exc:
             # Only now tell a missing root from a missing pair.  A NUL or an
             # unencodable character (ValueError) names no file either.
             self._require_root()
-            if isinstance(exc, OSError) and exc.errno not in _NO_FILE_ERRNOS:
+            if isinstance(exc, OSError) and exc.errno not in _ABSENT_ERRNOS:
                 raise
             raise _not_enrolled(device_id, user_id) from None
-        try:
-            st = os.fstat(fd)
-            if not stat.S_ISREG(st.st_mode):
-                raise _not_enrolled(device_id, user_id)
-            raw = os.read(fd, st.st_size + 1)
-            if len(raw) != st.st_size:  # a short read, or the file changed: read on to EOF
-                with open(fd, "rb", buffering=0, closefd=False) as f:
-                    raw += f.readall()
-        finally:
-            os.close(fd)
+        if raw is None:
+            raise _not_enrolled(device_id, user_id)
         return decode_template(raw, path)
 
     def authenticate(
@@ -212,12 +237,13 @@ class TemplateStore:
         """
         self._require_root()
         try:
-            with open(self.manifest_path, "rb") as f:
-                raw = f.read()
+            raw = _read_regular(self.manifest_path)
         except OSError as exc:
             if exc.errno in _ABSENT_ERRNOS:  # no manifest yet: an empty store
                 return [], []
             raise
+        if raw is None:
+            raise StorageError(f"{self.manifest_path} is not a regular file")
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:

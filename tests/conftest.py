@@ -1,3 +1,5 @@
+import os
+import stat
 from itertools import combinations
 from pathlib import Path
 
@@ -21,6 +23,25 @@ TABLE_B5_FIXTURE = DATA_DIR / "table_b5.txt"
 
 # `gen --bits 1795 --seed 7 --out f.bits`, as the text-mode writer wrote it on POSIX.
 GEN_1795_SEED7_BITS = DATA_DIR / "gen_1795_seed7.bits"
+
+
+def store_state(root):
+    """Each path under ``root``: a link's target, ``None`` for a directory, a regular file's bytes.
+
+    Any other file is recorded by its type and never opened, so a FIFO cannot block.
+    """
+    state = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames + filenames:
+            path = Path(dirpath, name)
+            key, mode = str(path.relative_to(root)), path.lstat().st_mode
+            if stat.S_ISLNK(mode):
+                state[key] = ("link", os.readlink(path))
+            elif stat.S_ISREG(mode):
+                state[key] = path.read_bytes()
+            else:
+                state[key] = None if stat.S_ISDIR(mode) else stat.S_IFMT(mode)
+    return state
 
 
 @st.composite

@@ -1,11 +1,15 @@
 """Check that one process can reuse its CLI parser for every command.
 
-``blokit.cli.run`` builds its argparse tree once per process.  This runs a
-fixed list of commands through one in-process ``run``, forwards and then
-backwards, and compares each outcome (exit code, stdout, stderr) with the
-same command run in a fresh interpreter.  The list covers successes, usage
-errors, ``--help`` at three levels, the mutually exclusive selector group
-and bad integer values.  COLUMNS is 80 on both sides so help text wraps
+``blokit.cli.run`` builds its argparse tree, and the lookup tables compiled
+off it, once per process.  This runs a fixed list of commands through one
+in-process ``run``, forwards and then backwards, and compares each outcome
+(exit code, stdout, stderr) with the same command run in a fresh
+interpreter.  A third pass runs the list again with the table path stubbed
+out, so argparse alone must give the same outcomes too.  The list covers
+successes, usage errors, ``--help`` at three levels, the mutually exclusive
+selector group, bad integer values and the forms the tables leave to
+argparse: ``--opt=value``, an abbreviation, a repeated option, a negative
+value and a ``-`` value.  COLUMNS is 80 on both sides so help text wraps
 alike.  It needs no pytest, so it runs on any supported Python:
 
     PYTHONPATH=src python tests/parser_reuse.py
@@ -22,6 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from blokit import cli
 from blokit.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -32,6 +37,7 @@ FRESH = "import sys; from blokit.cli import main; sys.exit(main())"
 def make_cases(workdir: Path) -> "list[list[str]]":
     """Write a feature and its template into ``workdir``; return the argument lists."""
     feature, template = str(workdir / "f.bits"), str(workdir / "t.blo")
+    other = str(workdir / "g.bits")
     for args in (
         ["gen", "--bits", "40", "--seed", "7", "--out", feature],
         ["enroll", "--in", feature, "--block-size", "5", "--out", template],
@@ -65,6 +71,12 @@ def make_cases(workdir: Path) -> "list[list[str]]":
         preimage + ["--selector", "1", "--random"],
         preimage + ["--enumerate"],
         ["store", "list", "--root", str(workdir / "missing")],
+        ["gen", "--bits=40", "--seed", "7", "--out", other],
+        ["gen", "--bi", "40", "--seed", "7", "--out", other],
+        ["gen", "--bits", "40", "--seed", "7", "--seed", "8", "--out", other],
+        ["analyze", "recovery", "--bits", "10", "--block-size", "5", "--trials", "20",
+         "--seed", "-5"],
+        preimage + ["--enumerate", "--limit", "3", "--out", "-"],
     ]
 
 
@@ -86,11 +98,20 @@ def mismatches(workdir: Path) -> "list[str]":
     env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{path}" if path else str(SRC))
     fresh = [fresh_outcome(args, env) for args in cases]
     found = []
-    for order in (range(len(cases)), reversed(range(len(cases)))):
+
+    def compare(order, label=""):
         for i in order:
             outcome = run(cases[i])
             if (outcome.exit_code, outcome.stdout, outcome.stderr) != fresh[i]:
-                found.append(" ".join(cases[i]) or "(no arguments)")
+                found.append((" ".join(cases[i]) or "(no arguments)") + label)
+
+    compare(range(len(cases)))
+    compare(reversed(range(len(cases))))
+    from_tables, cli._from_tables = cli._from_tables, lambda argv: None
+    try:
+        compare(range(len(cases)), " (argparse alone)")
+    finally:
+        cli._from_tables = from_tables
     return found
 
 

@@ -1,6 +1,10 @@
+import argparse
 import io
+import os
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
 
 import pytest
@@ -18,7 +22,7 @@ from blokit import (
 from blokit.bits import read_bits_file, read_feature, write_feature
 from blokit.cli import run
 
-from conftest import GEN_1795_SEED7_BITS, TABLE_B5_FIXTURE
+from conftest import GEN_1795_SEED7_BITS, TABLE_B5_FIXTURE, store_state
 from parser_reuse import SRC, mismatches
 
 
@@ -348,6 +352,40 @@ class TestStoreCommands:
         assert outcome.stderr.startswith(f"blokit: error: cannot write to store at {root}: ")
         assert not (tmp_path / "outside.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "fifo, command, error",
+        [
+            ("manifest.tsv", "list", "{root}/manifest.tsv is not a regular file"),
+            ("manifest.tsv", "enroll", "{root}/manifest.tsv is not a regular file"),
+            ("d1/u1.blo", "enroll",
+             "cannot write to store at {root}: {root}/d1/u1.blo is not a regular file"),
+            ("d1/u1.blo", "auth", "no enrollment for device=d1 user=u1"),
+        ],
+        ids=["manifest-list", "manifest-enroll", "blo-enroll", "blo-auth"],
+    )
+    def test_fifo_in_the_store_is_refused_at_once(self, tmp_path, fifo, command, error):
+        root, f = tmp_path / "store", tmp_path / "f.bits"
+        ok(["gen", "--bits", "20", "--seed", "1", "--out", str(f)])
+        ok(["store", "enroll", "--root", str(root), "--device", "d1", "--user", "u0",
+            "--in", str(f), "--block-size", "5"])
+        (root / fifo).unlink(missing_ok=True)
+        os.mkfifo(root / fifo)
+        before = store_state(root)
+        args = {
+            "list": [],
+            "enroll": ["--device", "d1", "--user", "u1", "--in", str(f), "--block-size", "5"],
+            "auth": ["--device", "d1", "--user", "u1", "--probe", str(f)],
+        }[command]
+        # In a child process: a store call that blocks on the FIFO fails the
+        # test at the timeout instead of hanging the suite.
+        proc = subprocess.run(
+            [sys.executable, "-m", "blokit.cli", "store", command, "--root", str(root), *args],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"blokit: error: {error.format(root=root)}\n")
+        assert store_state(root) == before
+
     def test_non_utf8_manifest_is_one_line_error(self, tmp_path):
         root = tmp_path / "store"
         f = tmp_path / "f.bits"
@@ -631,3 +669,170 @@ class TestParserReuse:
         proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+def leaf_commands(parser, words=()):
+    """(command words, parser) for every leaf command under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return [leaf for word, child in action.choices.items()
+                    for leaf in leaf_commands(child, (*words, word))]
+    return [(list(words), parser)]
+
+
+LEAVES = leaf_commands(cli.build_parser())
+OPTION_STRINGS = sorted({s for _, p in LEAVES for a in p._actions for s in a.option_strings})
+
+# Tokens the tables must decline, or read exactly as argparse does, wherever they land.
+ODD_TOKENS = st.sampled_from([
+    "", "-", "--", "-h", "--help", "-5", "-1.5", "--bogus", "1" * 5000, "-" + "1" * 5000,
+    "bogus-policy", "zero-pad", "truncate", "a b", " 7", "7 ", "-x y", "nan", "inf", "1e3",
+    "0x10", "1_000", "x", "gen", "attack", "=", "--bits=",
+])
+
+
+def plain_value(action):
+    """A strategy for values of ``action`` that are their own token and that it accepts."""
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    if action.type is int:
+        return st.integers(0, 2**70).map(str)
+    if action.type is float:
+        return st.floats(0, 1).map(str)
+    return st.text(min_size=1, max_size=6).filter(lambda t: not t.startswith("-"))
+
+
+@st.composite
+def plain_argv(draw, words, parser):
+    """A plain-form argv for one leaf: its required options, some others, any order."""
+    actions = [a for a in parser._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    groups = {a: g for g in parser._mutually_exclusive_groups for a in g._group_actions}
+    chosen = {g: draw(st.sampled_from(g._group_actions)) for g in set(groups.values())
+              if g.required or draw(st.booleans())}
+    pairs = []
+    for action in actions:
+        if action in groups:
+            if chosen.get(groups[action]) is not action:
+                continue
+        elif not (action.required or draw(st.booleans())):
+            continue
+        option = draw(st.sampled_from(action.option_strings))
+        pairs.append([option] if action.nargs == 0 else [option, draw(plain_value(action))])
+    return list(words) + list(chain(*draw(st.permutations(pairs))))
+
+
+@st.composite
+def cli_argvs(draw):
+    """Plain argv for any command, then up to three edits that may leave plain form."""
+    words, parser = draw(st.sampled_from(LEAVES))
+    argv = draw(plain_argv(words, parser))
+    own = [s for a in parser._actions for s in a.option_strings]
+    edits = draw(st.integers(0, 3))
+    for _ in range(edits):
+        at = draw(st.integers(0, len(argv)))
+        kind = draw(st.sampled_from(
+            ["insert", "replace", "drop", "abbreviate", "equals", "repeat", "option"]))
+        option = draw(st.sampled_from(own))
+        token = draw(ODD_TOKENS | st.sampled_from(OPTION_STRINGS) | st.text(max_size=4))
+        if kind == "insert":
+            argv.insert(at, token)
+        elif kind == "replace" and at < len(argv):
+            argv[at] = token
+        elif kind == "drop" and at < len(argv):
+            del argv[at]
+        elif kind == "abbreviate" and option in argv:
+            i = argv.index(option)
+            argv[i] = option[: draw(st.integers(1, len(option) - 1))]
+        elif kind == "equals" and option in argv and argv.index(option) + 1 < len(argv):
+            i = argv.index(option)
+            argv[i : i + 2] = [f"{option}={argv[i + 1]}"]
+        elif kind == "repeat" and option in argv:
+            i = argv.index(option)
+            argv[at:at] = argv[i : i + 2]
+        elif kind == "option":
+            argv[at:at] = [option, token]
+    return argv, edits
+
+
+def argparse_namespace(argv):
+    """What the shared parser makes of ``argv``: its Namespace, or None where it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return cli._shared_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def comparable(ns):
+    # A float compared by repr, so that nan equals nan.
+    return {k: repr(v) if isinstance(v, float) else v for k, v in vars(ns).items()}
+
+
+def quickstart_commands(workdir):
+    """One perfbench quickstart round per feature codec, then the README quick start."""
+    commands, t = [], str(workdir / "template.blo")
+    for ext in (".bits", ".fbin"):
+        f, forged = str(workdir / f"feature{ext}"), str(workdir / f"forged{ext}")
+        commands += [
+            ["gen", "--bits", "1795", "--seed", "4611686018427387903", "--out", f],
+            ["enroll", "--in", f, "--block-size", "5", "--out", t],
+            ["attack", "preimage", "--template", t, "--random", "--seed", "12345", "--out", forged],
+            ["match", "--template", t, "--probe", forged],
+            ["attack", "verify", "--template", t, "--probe", forged],
+        ]
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    readme_commands = [shlex.split(line, comments=True)[1:]
+                       for line in block.splitlines() if line.startswith("blokit ")]
+    assert len(readme_commands) == 4
+    return commands + readme_commands
+
+
+class TestTablePath:
+    @settings(max_examples=600, deadline=None)
+    @given(cli_argvs())
+    def test_tables_give_argparse_namespace_or_decline(self, drawn):
+        argv, edits = drawn
+        ns, expected = cli._from_tables(argv), argparse_namespace(argv)
+        if edits == 0:
+            assert ns is not None, argv
+        if ns is not None:
+            assert expected is not None, argv
+            assert comparable(ns) == comparable(expected), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--bits=40", "--seed", "7", "--out", "f"],
+        ["gen", "--bi", "40", "--seed", "7", "--out", "f"],
+        ["gen", "--bits", "40", "--seed", "7", "--seed", "8", "--out", "f"],
+        ["gen", "--bits", "40", "--seed", "-5", "--out", "f"],
+        ["gen", "--bits", "40", "--seed", "7", "--out", "-"],
+        ["gen", "--bits", "40", "--seed", "7", "--", "--out", "f"],
+        ["gen", "--help"],
+        ["analyze", "link", "--users", "2", "--devices", "2", "--block-size", "5",
+         "--seed", "1", "--policy", "bogus"],
+        ["attack", "preimage", "--template", "t", "--random", "--selector", "1"],
+        ["attack", "preimage", "--template", "t"],
+        ["gen", "--bits", "1" * 5000, "--seed", "7", "--out", "f"],
+        ["gen", 40],
+        ("table", "--block-size", "5", b"x"),
+        None,
+    ], ids=repr)
+    def test_tables_decline_every_other_form(self, argv):
+        assert cli._from_tables(argv) is None
+
+    def test_quickstart_commands_never_reach_argparse(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        parse_args = cli._Parser.parse_args
+
+        def counting_parse_args(self, *args, **kwargs):
+            calls.append(args)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", counting_parse_args)
+        for args in quickstart_commands(tmp_path):
+            ok(args)
+        assert calls == []
+        ok(["table", "--block-size=3"])
+        assert len(calls) == 1  # the patch does see argparse

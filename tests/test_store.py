@@ -2,7 +2,6 @@ import os
 import signal
 import socket
 import struct
-from pathlib import Path
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -27,7 +26,7 @@ from blokit import (
     transform,
 )
 from blokit.transform import write_template_file
-from conftest import DATA_DIR
+from conftest import DATA_DIR, store_state
 
 ZP = TransformParams(5)
 
@@ -286,20 +285,6 @@ class TestManifestWrites:
         assert store.list_records()[0] == ManifestEntry("d0", "u0", "d0/u0.blo", 5, 20, 7)
 
 
-def store_state(root):
-    """Each path under ``root``: the target of a link, ``None`` for a directory, else its bytes."""
-    state = {}
-    for dirpath, dirnames, filenames in os.walk(root):
-        for name in dirnames + filenames:
-            path = Path(dirpath, name)
-            key = str(path.relative_to(root))
-            if path.is_symlink():
-                state[key] = ("link", os.readlink(path))
-            else:
-                state[key] = None if path.is_dir() else path.read_bytes()
-    return state
-
-
 class TestEnrollRefusesBeforeWriting:
     """enroll reads and checks the manifest before it writes either file."""
 
@@ -338,6 +323,22 @@ class TestEnrollRefusesBeforeWriting:
         assert (outside.read_bytes() if outside.exists() else None) == (
             b"outside" if link == "existing" else None
         )
+
+    @pytest.mark.parametrize("link", ["existing", "dangling", "loop"])
+    def test_symlinked_manifest_is_storage_error(self, tmp_path, link):
+        root, outside = tmp_path / "root", tmp_path / "outside.tsv"
+        root.mkdir()
+        store = TemplateStore(root)
+        store.enroll(record("d1", "u0", FeatureVector(random_bits(20, 1))))
+        if link == "existing":
+            outside.write_bytes(store.manifest_path.read_bytes())
+        store.manifest_path.unlink()
+        os.symlink("manifest.tsv" if link == "loop" else "../outside.tsv", store.manifest_path)
+        before = store_state(root)
+        for device in ("d1", "d2"):
+            with pytest.raises(StorageError, match="^cannot write to store at .* is not a regular file$"):
+                store.enroll(record(device, "u1", FeatureVector(random_bits(20, 2))))
+        assert store_state(root) == before
 
 
 def fd_count():
