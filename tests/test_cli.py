@@ -22,7 +22,7 @@ from blokit import (
 from blokit.bits import read_bits_file, read_feature, write_feature
 from blokit.cli import run
 
-from conftest import GEN_1795_SEED7_BITS, TABLE_B5_FIXTURE, store_state
+from conftest import DATA_DIR, GEN_1795_SEED7_BITS, TABLE_B5_FIXTURE, store_state
 from parser_reuse import SRC, mismatches
 
 
@@ -499,6 +499,38 @@ HELP_TARGETS = [
     ["store", "list"],
 ]
 
+USAGE_ERRORS = [
+    [],
+    ["frobnicate"],
+    ["gen"],
+    ["gen", "--bits", "10"],
+    ["gen", "--bits", "x", "--seed", "1", "--out", "f"],
+    ["attack"],
+    ["analyze"],
+    ["store"],
+    ["match", "--template"],
+]
+
+# Python 3.13 wraps the usage lines of `attack preimage`, `store enroll` and `store auth` differently.
+USAGE_GOLDEN = DATA_DIR / ("cli_usage_py313.txt" if sys.version_info >= (3, 13) else "cli_usage.txt")
+
+
+def usage_transcript():
+    """Exit code, stdout and stderr of `--help` at every level and of every usage error.
+
+    With COLUMNS=80, this is the text of ``USAGE_GOLDEN``; to rewrite the file
+    after an intended change to help or usage text, run from the repo root:
+
+        COLUMNS=80 PYTHONPATH=src:tests python -c \\
+            "import test_cli; print(test_cli.usage_transcript(), end='')" > FILE
+    """
+    parts = []
+    for args in [target + ["--help"] for target in HELP_TARGETS] + USAGE_ERRORS:
+        outcome = run(args)
+        parts.append(f"$ {' '.join(['blokit', *args])}\nexit {outcome.exit_code}\n"
+                     f"--- stdout\n{outcome.stdout}--- stderr\n{outcome.stderr}")
+    return "".join(parts)
+
 
 class TestUsageContract:
     @pytest.mark.parametrize("target", HELP_TARGETS, ids=lambda t: " ".join(t) or "root")
@@ -507,24 +539,15 @@ class TestUsageContract:
         assert outcome.exit_code == 0
         assert "usage" in outcome.stdout.lower()
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            [],
-            ["frobnicate"],
-            ["gen"],
-            ["gen", "--bits", "10"],
-            ["gen", "--bits", "x", "--seed", "1", "--out", "f"],
-            ["attack"],
-            ["analyze"],
-            ["store"],
-            ["match", "--template"],
-        ],
-    )
+    @pytest.mark.parametrize("args", USAGE_ERRORS)
     def test_usage_errors_exit_1(self, args):
         outcome = run(args)
         assert outcome.exit_code == 1
         assert outcome.stderr
+
+    def test_help_and_usage_error_text_match_the_golden(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert usage_transcript() == USAGE_GOLDEN.read_text(encoding="utf-8")
 
     def test_missing_file_is_error(self, tmp_path):
         outcome = run(["enroll", "--in", str(tmp_path / "nope.bits"),
