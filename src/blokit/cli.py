@@ -5,17 +5,19 @@ Exit codes: 0 success or accept, 1 usage or internal error,
 diagnostics to stderr; every randomized subcommand requires --seed and is
 byte-for-byte deterministic given its argument vector.
 
-The process builds one argparse parser, on its first command, and reuses
-it for every later one.  At the same moment it compiles lookup tables off
-that parser's tree: the command words, and for each leaf command its
-option strings, defaults, required options and mutually exclusive groups.
-An argument vector in plain form (command words, then exact option
-strings each given once, each value its own token not starting with '-'
-and accepted by the option's type and choices) is turned into the
-Namespace argparse would give, straight from the tables.  Every other
-vector (help, abbreviations, '--opt=value', repeats, negative numbers,
-every error) goes to argparse, which alone writes help, usage and error
-text.
+Each command is declared once, in ``_COMMANDS``: its words, help and
+handler, and per option its flag, dest, type, whether it is required, its
+default, choices, help and mutually exclusive group.  Two readers walk
+that declaration.  ``_tables`` makes lookup tables of it: the command
+words, and for each leaf command its option strings, defaults, required
+options and groups.  An argument vector in plain form (command words, then
+exact option strings each given once, each value its own token not
+starting with '-' and accepted by the option's type and choices) is turned
+into the Namespace argparse would give, straight from the tables, and no
+parser is built.  ``build_parser`` makes the argparse tree, once per
+process, for every other vector (help, abbreviations, '--opt=value',
+repeats, negative numbers, every error); argparse alone writes help, usage
+and error text.
 """
 
 from __future__ import annotations
@@ -68,255 +70,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.format_usage()}blokit: error: {message}\n")
 
 
-def _add_policy_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--policy",
-        choices=[p.value for p in PaddingPolicy],
-        default=PaddingPolicy.ZERO_PAD.value,
-        help="padding policy for inputs not a multiple of the block size",
-    )
-
-
 def _params(ns: argparse.Namespace) -> TransformParams:
     return TransformParams(ns.block_size, PaddingPolicy(ns.policy))
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="blokit", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    sub.required = True
-
-    p = sub.add_parser("gen", help="generate a random feature vector file")
-    p.add_argument("--bits", type=int, required=True, help="number of bits to draw")
-    p.add_argument("--seed", type=int, required=True, help="64-bit master seed")
-    p.add_argument("--out", required=True, help="output path (.bits text or .fbin packed)")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("enroll", help="transform a feature file into a template file")
-    p.add_argument("--in", dest="infile", required=True, help="feature file to transform")
-    p.add_argument("--block-size", type=int, required=True, help="odd block size")
-    _add_policy_flag(p)
-    p.add_argument("--out", required=True, help="output template path (.blo)")
-    p.set_defaults(func=_cmd_enroll)
-
-    p = sub.add_parser("match", help="match a probe feature file against a template file")
-    p.add_argument("--template", required=True, help="enrolled template (.blo)")
-    p.add_argument("--probe", required=True, help="probe feature file")
-    p.add_argument("--threshold", type=float, default=1.0, help="similarity threshold in [0,1]")
-    p.set_defaults(func=_cmd_match)
-
-    p = sub.add_parser("table", help="print the output-block to preimage-pair table")
-    p.add_argument("--block-size", type=int, required=True, help="odd block size in [3, 17]")
-    p.set_defaults(func=_cmd_table)
-
-    attack = sub.add_parser("attack", help="preimage attacks on template files")
-    attack_sub = attack.add_subparsers(dest="attack_command", metavar="SUBCOMMAND")
-    attack_sub.required = True
-
-    p = attack_sub.add_parser("preimage", help="forge feature vectors that map to a template")
-    p.add_argument("--template", required=True, help="target template (.blo)")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--selector", help="per-block choice bits ('0'/'1' text, left-padded)")
-    mode.add_argument("--random", action="store_true", help="draw a random selector (requires --seed)")
-    mode.add_argument("--enumerate", action="store_true", help="list forgeries in ascending selector order")
-    p.add_argument("--limit", type=int, help="cap for --enumerate")
-    p.add_argument("--seed", type=int, help="64-bit seed for --random")
-    p.add_argument("--out", help="write the forged feature file here instead of stdout")
-    p.set_defaults(func=_cmd_attack_preimage)
-
-    p = attack_sub.add_parser("verify", help="check that a probe transforms exactly to a template")
-    p.add_argument("--template", required=True)
-    p.add_argument("--probe", required=True)
-    p.set_defaults(func=_cmd_attack_verify)
-
-    analyze = sub.add_parser("analyze", help="run a security study and print its report")
-    analyze_sub = analyze.add_subparsers(dest="analyze_command", metavar="SUBCOMMAND")
-    analyze_sub.required = True
-
-    p = analyze_sub.add_parser("census", help="exhaustive fiber census over a small input space")
-    p.add_argument("--bits", type=int, required=True, help="input bit length (multiple of block size, <= 24)")
-    p.add_argument("--block-size", type=int, required=True)
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p.set_defaults(func=_cmd_analyze_census)
-
-    p = analyze_sub.add_parser("recovery", help="Monte Carlo original-recovery probability")
-    p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--block-size", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_analyze_recovery)
-
-    p = analyze_sub.add_parser("link", help="cross-device linkability study")
-    p.add_argument("--users", type=int, required=True)
-    p.add_argument("--devices", type=int, required=True)
-    p.add_argument("--bits", type=int, default=1795, help="synthetic feature length")
-    p.add_argument("--block-size", type=int, required=True)
-    _add_policy_flag(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--keyed-baseline", action="store_true", help="also report the per-device XOR-mask control")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_analyze_link)
-
-    p = analyze_sub.add_parser("revoke", help="repeated re-enrollment revocability check")
-    p.add_argument("--in", dest="infile", help="feature file to re-enroll")
-    p.add_argument("--bits", type=int, help="length of a synthetic feature (with --seed)")
-    p.add_argument("--seed", type=int, help="seed for the synthetic feature")
-    p.add_argument("--attempts", type=int, required=True)
-    p.add_argument("--block-size", type=int, required=True)
-    _add_policy_flag(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_analyze_revoke)
-
-    store = sub.add_parser("store", help="enrollment store operations")
-    store_sub = store.add_subparsers(dest="store_command", metavar="SUBCOMMAND")
-    store_sub.required = True
-
-    p = store_sub.add_parser("enroll", help="enroll a feature file under (device, user)")
-    p.add_argument("--root", required=True, help="store root directory (created if missing)")
-    p.add_argument("--device", required=True)
-    p.add_argument("--user", required=True)
-    p.add_argument("--in", dest="infile", required=True, help="feature file")
-    p.add_argument("--block-size", type=int, required=True)
-    _add_policy_flag(p)
-    p.set_defaults(func=_cmd_store_enroll)
-
-    p = store_sub.add_parser("auth", help="authenticate a probe against an enrollment")
-    p.add_argument("--root", required=True)
-    p.add_argument("--device", required=True)
-    p.add_argument("--user", required=True)
-    p.add_argument("--probe", required=True, help="probe feature file")
-    p.add_argument("--threshold", type=float, default=1.0)
-    p.set_defaults(func=_cmd_store_auth)
-
-    p = store_sub.add_parser("list", help="list manifest entries in enrollment order")
-    p.add_argument("--root", required=True)
-    p.set_defaults(func=_cmd_store_list)
-
-    return parser
-
-
-@functools.cache
-def _shared_parser() -> _Parser:
-    # argparse keeps no state between parse_args calls, so one tree serves every run.
-    return build_parser()
-
-
-class _Leaf(NamedTuple):
-    """A leaf command's parser, as the tables hold it."""
-
-    # option string -> (dest, type (None for a flag), choices, the flag's const)
-    options: "dict[str, tuple]"
-    # every dest argparse sets for this command: defaults, func, command words
-    defaults: "dict[str, object]"
-    required: "tuple[str, ...]"
-    # (member dests, whether one is required) per mutually exclusive group
-    groups: "tuple[tuple[frozenset, bool], ...]"
-
-
-def _compile(parser: argparse.ArgumentParser, inherited: "dict[str, object]") -> "dict | _Leaf | None":
-    """The tables for ``parser``'s subtree: a dict of command word -> subtree, or a leaf.
-
-    None stands for a parser with an action the tables do not model; its
-    argument vectors all go to argparse.  Each level's dests override the
-    level above, as argparse merges a subparser's namespace into its parent's.
-    """
-    defaults, options, required, sub = {}, {}, [], None
-    for action in parser._actions:
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-        if isinstance(action, argparse._HelpAction):
-            continue
-        if isinstance(action, argparse._SubParsersAction):
-            sub = action
-            continue
-        if type(action) is argparse._StoreAction and action.option_strings and action.nargs is None:
-            spec = (action.dest, action.type or str, action.choices, None)
-            # argparse passes a str default that no option replaced through the type.
-            if isinstance(action.default, str):
-                defaults[action.dest] = spec[1](action.default)
-        elif isinstance(action, argparse._StoreConstAction) and action.option_strings:
-            spec = (action.dest, None, None, action.const)
-        else:
-            return None
-        options.update(dict.fromkeys(action.option_strings, spec))
-        if action.required:
-            required.append(action.dest)
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
-    defaults = {**inherited, **defaults}
-    if sub is not None:
-        if options or sub.dest is argparse.SUPPRESS:
-            return None
-        return {word: _compile(child, {**defaults, sub.dest: word}) for word, child in sub.choices.items()}
-    groups = []
-    for group in parser._mutually_exclusive_groups:
-        members = group._group_actions
-        # argparse counts a member as given only when its value is not its
-        # default object.  A flag always counts; a value counts for sure
-        # only when the default is None, so other defaults go to argparse.
-        if any(a.nargs != 0 and a.default is not None for a in members):
-            return None
-        groups.append((frozenset(a.dest for a in members), group.required))
-    return _Leaf(options, defaults, tuple(required), tuple(groups))
-
-
-@functools.cache
-def _tables():
-    return _compile(_shared_parser(), {})
-
-
-def _from_tables(argv) -> "argparse.Namespace | None":
-    """The Namespace argparse gives for ``argv`` in plain form; None for any other ``argv``.
-
-    Plain form: a list or tuple of str; the command words; then each option
-    string exactly and once, each value its own token, not starting with
-    '-', and accepted by the option's type and choices; required options
-    given and group rules kept.
-    """
-    if not isinstance(argv, (list, tuple)):
-        return None
-    node, i, n = _tables(), 0, len(argv)
-    while type(node) is dict:
-        if i == n or type(argv[i]) is not str:
-            return None
-        node = node.get(argv[i])
-        i += 1
-    if node is None:
-        return None
-    options, values, required, groups = node
-    values, given = dict(values), set()
-    while i < n:
-        opt = argv[i]
-        spec = options.get(opt) if type(opt) is str else None
-        if spec is None or spec[0] in given:
-            return None
-        dest, convert, choices, const = spec
-        given.add(dest)
-        i += 1
-        if convert is None:
-            values[dest] = const
-            continue
-        text = argv[i] if i < n else None
-        if type(text) is not str or text.startswith("-"):
-            return None
-        try:
-            value = convert(text)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
-            return None
-        if choices is not None and value not in choices:
-            return None
-        values[dest] = value
-        i += 1
-    if not given.issuperset(required):
-        return None
-    for members, one_required in groups:
-        count = len(members & given)
-        if count > 1 or (one_required and not count):
-            return None
-    ns = argparse.Namespace()
-    vars(ns).update(values)
-    return ns
 
 
 def _synthetic_feature(ns: argparse.Namespace) -> FeatureVector:
@@ -461,6 +216,244 @@ def _cmd_store_list(ns: argparse.Namespace) -> int:
     for e in TemplateStore(ns.root).list_records():
         print(e.to_line())
     return EXIT_OK
+
+
+class _Opt(NamedTuple):
+    """One option of a leaf command: stored through ``type``, or a store-true flag if ``type`` is bool."""
+
+    flag: str
+    dest: str
+    type: type
+    required: bool
+    default: object
+    choices: "tuple | None"
+    help: "str | None"
+    # Options naming one group are mutually exclusive; a member's
+    # ``required`` is the group's: one member must be given.
+    group: "str | None"
+
+
+def _opt(flag, help=None, *, type=str, required=False, default=None, choices=None, dest=None, group=None) -> _Opt:
+    return _Opt(flag, dest or flag[2:].replace("-", "_"), type, required, default, choices, help, group)
+
+
+_POLICY = _opt(
+    "--policy",
+    "padding policy for inputs not a multiple of the block size",
+    choices=tuple(p.value for p in PaddingPolicy),
+    default=PaddingPolicy.ZERO_PAD.value,
+)
+
+# Command words -> (help, handler, options), in help order, each group word
+# (no handler, no options) before the commands under it.
+_COMMANDS = {
+    ("gen",): ("generate a random feature vector file", _cmd_gen, (
+        _opt("--bits", "number of bits to draw", type=int, required=True),
+        _opt("--seed", "64-bit master seed", type=int, required=True),
+        _opt("--out", "output path (.bits text or .fbin packed)", required=True),
+    )),
+    ("enroll",): ("transform a feature file into a template file", _cmd_enroll, (
+        _opt("--in", "feature file to transform", required=True, dest="infile"),
+        _opt("--block-size", "odd block size", type=int, required=True),
+        _POLICY,
+        _opt("--out", "output template path (.blo)", required=True),
+    )),
+    ("match",): ("match a probe feature file against a template file", _cmd_match, (
+        _opt("--template", "enrolled template (.blo)", required=True),
+        _opt("--probe", "probe feature file", required=True),
+        _opt("--threshold", "similarity threshold in [0,1]", type=float, default=1.0),
+    )),
+    ("table",): ("print the output-block to preimage-pair table", _cmd_table, (
+        _opt("--block-size", "odd block size in [3, 17]", type=int, required=True),
+    )),
+    ("attack",): ("preimage attacks on template files", None, ()),
+    ("attack", "preimage"): ("forge feature vectors that map to a template", _cmd_attack_preimage, (
+        _opt("--template", "target template (.blo)", required=True),
+        _opt("--selector", "per-block choice bits ('0'/'1' text, left-padded)", required=True, group="mode"),
+        _opt("--random", "draw a random selector (requires --seed)", type=bool, required=True, group="mode"),
+        _opt("--enumerate", "list forgeries in ascending selector order", type=bool, required=True, group="mode"),
+        _opt("--limit", "cap for --enumerate", type=int),
+        _opt("--seed", "64-bit seed for --random", type=int),
+        _opt("--out", "write the forged feature file here instead of stdout"),
+    )),
+    ("attack", "verify"): ("check that a probe transforms exactly to a template", _cmd_attack_verify, (
+        _opt("--template", required=True),
+        _opt("--probe", required=True),
+    )),
+    ("analyze",): ("run a security study and print its report", None, ()),
+    ("analyze", "census"): ("exhaustive fiber census over a small input space", _cmd_analyze_census, (
+        _opt("--bits", "input bit length (multiple of block size, <= 24)", type=int, required=True),
+        _opt("--block-size", type=int, required=True),
+        _opt("--json", "emit the report as JSON", type=bool),
+    )),
+    ("analyze", "recovery"): ("Monte Carlo original-recovery probability", _cmd_analyze_recovery, (
+        _opt("--bits", type=int, required=True),
+        _opt("--block-size", type=int, required=True),
+        _opt("--trials", type=int, required=True),
+        _opt("--seed", type=int, required=True),
+        _opt("--json", type=bool),
+    )),
+    ("analyze", "link"): ("cross-device linkability study", _cmd_analyze_link, (
+        _opt("--users", type=int, required=True),
+        _opt("--devices", type=int, required=True),
+        _opt("--bits", "synthetic feature length", type=int, default=1795),
+        _opt("--block-size", type=int, required=True),
+        _POLICY,
+        _opt("--seed", type=int, required=True),
+        _opt("--keyed-baseline", "also report the per-device XOR-mask control", type=bool),
+        _opt("--json", type=bool),
+    )),
+    ("analyze", "revoke"): ("repeated re-enrollment revocability check", _cmd_analyze_revoke, (
+        _opt("--in", "feature file to re-enroll", dest="infile"),
+        _opt("--bits", "length of a synthetic feature (with --seed)", type=int),
+        _opt("--seed", "seed for the synthetic feature", type=int),
+        _opt("--attempts", type=int, required=True),
+        _opt("--block-size", type=int, required=True),
+        _POLICY,
+        _opt("--json", type=bool),
+    )),
+    ("store",): ("enrollment store operations", None, ()),
+    ("store", "enroll"): ("enroll a feature file under (device, user)", _cmd_store_enroll, (
+        _opt("--root", "store root directory (created if missing)", required=True),
+        _opt("--device", required=True),
+        _opt("--user", required=True),
+        _opt("--in", "feature file", required=True, dest="infile"),
+        _opt("--block-size", type=int, required=True),
+        _POLICY,
+    )),
+    ("store", "auth"): ("authenticate a probe against an enrollment", _cmd_store_auth, (
+        _opt("--root", required=True),
+        _opt("--device", required=True),
+        _opt("--user", required=True),
+        _opt("--probe", "probe feature file", required=True),
+        _opt("--threshold", type=float, default=1.0),
+    )),
+    ("store", "list"): ("list manifest entries in enrollment order", _cmd_store_list, (
+        _opt("--root", required=True),
+    )),
+}
+
+
+def _word_dest(words: "tuple[str, ...]") -> str:
+    """The Namespace attribute that holds the command word after ``words``."""
+    return f"{words[-1]}_command" if words else "command"
+
+
+def build_parser() -> _Parser:
+    """The argparse tree of ``_COMMANDS``: it alone writes help, usage and error text."""
+    parser = _Parser(prog="blokit", description=__doc__.splitlines()[0])
+    subparsers = {(): parser.add_subparsers(dest=_word_dest(()), metavar="COMMAND", required=True)}
+    for words, (summary, func, options) in _COMMANDS.items():
+        p = subparsers[words[:-1]].add_parser(words[-1], help=summary)
+        if func is None:
+            subparsers[words] = p.add_subparsers(dest=_word_dest(words), metavar="SUBCOMMAND", required=True)
+            continue
+        groups = {}
+        for o in options:
+            into, required = p, o.required
+            if o.group is not None:
+                if o.group not in groups:
+                    groups[o.group] = p.add_mutually_exclusive_group(required=o.required)
+                into, required = groups[o.group], False
+            if o.type is bool:
+                into.add_argument(o.flag, dest=o.dest, action="store_true", required=required, help=o.help)
+            else:
+                into.add_argument(o.flag, dest=o.dest, type=o.type, required=required, default=o.default,
+                                  choices=o.choices, help=o.help)
+        p.set_defaults(func=func)
+    return parser
+
+
+@functools.cache
+def _shared_parser() -> _Parser:
+    # argparse keeps no state between parse_args calls, so one tree serves every run.
+    return build_parser()
+
+
+@functools.cache
+def _tables() -> dict:
+    """``_COMMANDS`` as lookup tables: a dict of command word -> subtree, or a leaf.
+
+    A leaf is the tuple (option string -> (dest, type (None for a flag),
+    choices, the flag's const); every dest argparse sets for the command,
+    with its default; the required dests; (member dests, whether one is
+    required) per mutually exclusive group).
+    """
+    root = {}
+    for words, (_, func, options) in _COMMANDS.items():
+        node = root
+        for word in words[:-1]:
+            node = node[word]
+        if func is None:
+            node[words[-1]] = {}
+            continue
+        flags, required, groups = {}, [], {}
+        values = {_word_dest(words[:i]): word for i, word in enumerate(words)}
+        for o in options:
+            is_flag = o.type is bool
+            flags[o.flag] = (o.dest, None, None, True) if is_flag else (o.dest, o.type, o.choices, None)
+            values[o.dest] = False if is_flag else o.default
+            if o.group is not None:
+                groups.setdefault(o.group, (set(), o.required))[0].add(o.dest)
+            elif o.required:
+                required.append(o.dest)
+        values["func"] = func
+        groups = tuple((frozenset(members), one_required) for members, one_required in groups.values())
+        node[words[-1]] = (flags, values, tuple(required), groups)
+    return root
+
+
+def _from_tables(argv) -> "argparse.Namespace | None":
+    """The Namespace argparse gives for ``argv`` in plain form; None for any other ``argv``.
+
+    Plain form: a list or tuple of str; the command words; then each option
+    string exactly and once, each value its own token, not starting with
+    '-', and accepted by the option's type and choices; required options
+    given and group rules kept.
+    """
+    if not isinstance(argv, (list, tuple)):
+        return None
+    node, i, n = _tables(), 0, len(argv)
+    while type(node) is dict:
+        if i == n or type(argv[i]) is not str:
+            return None
+        node = node.get(argv[i])
+        i += 1
+    if node is None:
+        return None
+    options, values, required, groups = node
+    values, given = dict(values), set()
+    while i < n:
+        opt = argv[i]
+        spec = options.get(opt) if type(opt) is str else None
+        if spec is None or spec[0] in given:
+            return None
+        dest, convert, choices, const = spec
+        given.add(dest)
+        i += 1
+        if convert is None:
+            values[dest] = const
+            continue
+        text = argv[i] if i < n else None
+        if type(text) is not str or text.startswith("-"):
+            return None
+        try:
+            value = convert(text)
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        i += 1
+    if not given.issuperset(required):
+        return None
+    for members, one_required in groups:
+        count = len(members & given)
+        if count > 1 or (one_required and not count):
+            return None
+    ns = argparse.Namespace()
+    vars(ns).update(values)
+    return ns
 
 
 def _dispatch(argv: "list[str]") -> int:

@@ -1,16 +1,18 @@
 """Check that one process can reuse its CLI parser for every command.
 
-``blokit.cli.run`` builds its argparse tree, and the lookup tables compiled
-off it, once per process.  This runs a fixed list of commands through one
-in-process ``run``, forwards and then backwards, and compares each outcome
-(exit code, stdout, stderr) with the same command run in a fresh
-interpreter.  A third pass runs the list again with the table path stubbed
-out, so argparse alone must give the same outcomes too.  The list covers
-successes, usage errors, ``--help`` at three levels, the mutually exclusive
-selector group, bad integer values and the forms the tables leave to
-argparse: ``--opt=value``, an abbreviation, a repeated option, a negative
-value and a ``-`` value.  COLUMNS is 80 on both sides so help text wraps
-alike.  It needs no pytest, so it runs on any supported Python:
+``blokit.cli.run`` reads a plain argument vector from lookup tables made
+from the CLI's command declaration, and builds its argparse tree, from the
+same declaration, once per process for any other vector.  This runs a fixed
+list of commands through one in-process ``run``, forwards and then
+backwards, and compares each outcome (exit code, stdout, stderr) with the
+same command run in a fresh interpreter.  A third pass runs the list again
+with the table path stubbed out, so argparse alone must give the same
+outcomes too.  The list covers successes, usage errors, ``--help`` at three
+levels, the mutually exclusive selector group, bad integer values and the
+forms the tables leave to argparse: ``--opt=value``, an abbreviation, a
+repeated option, a negative value and a ``-`` value.  COLUMNS is 80 on both
+sides so help text wraps alike.  It needs no pytest, so it runs on any
+supported Python:
 
     PYTHONPATH=src python tests/parser_reuse.py
 

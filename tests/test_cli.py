@@ -693,6 +693,27 @@ class TestParserReuse:
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
+    def test_plain_argv_builds_no_parser_in_a_fresh_process(self):
+        code = (
+            "import argparse, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(self) or init(self, *a, **k)\n"
+            "from blokit import cli\n"
+            "counts = []\n"
+            "for argv in (['table', '--block-size', '3'], ['table', '--block-size=3']):\n"
+            "    assert cli.main(argv) == 0\n"
+            "    counts.append(len(built))\n"
+            "sys.stderr.write(f'{counts[0]} {counts[1]}')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        plain, not_plain = map(int, proc.stderr.split())
+        assert plain == 0
+        assert not_plain > 0  # the patch does see argparse build the tree
+
 
 def leaf_commands(parser, words=()):
     """(command words, parser) for every leaf command under ``parser``."""
