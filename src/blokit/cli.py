@@ -30,18 +30,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from typing import NamedTuple
 
+# attack, matcher, store and analysis are imported by the handlers that use
+# them, so a fresh process loads only what its command needs.
 from . import bits
-from .analysis import (
-    fiber_census,
-    linkability_study,
-    recovery_probability,
-    revocability_check,
-)
-from .attack import build_table, count_preimages, enumerate_preimages, forge
 from .bits import BitString, FeatureVector, from_text, random_bits
 from .errors import BlokitError, CapacityError, InvalidArgumentError, StorageError
-from .matcher import match_templates
-from .store import TemplateStore
 from .transform import (
     PaddingPolicy,
     TransformParams,
@@ -86,6 +79,8 @@ def _cmd_gen(ns: argparse.Namespace) -> int:
 
 
 def _cmd_enroll(ns: argparse.Namespace) -> int:
+    from .attack import count_preimages
+
     fv = bits.read_feature(ns.infile)
     tpl = transform(fv, _params(ns))
     write_template_file(ns.out, tpl)
@@ -96,6 +91,8 @@ def _cmd_enroll(ns: argparse.Namespace) -> int:
 
 
 def _cmd_match(ns: argparse.Namespace) -> int:
+    from .matcher import match_templates
+
     tpl = read_template_file(ns.template)
     probe = bits.read_feature(ns.probe)
     decision = match_templates(transform(probe, tpl.params), tpl, ns.threshold)
@@ -104,6 +101,8 @@ def _cmd_match(ns: argparse.Namespace) -> int:
 
 
 def _cmd_table(ns: argparse.Namespace) -> int:
+    from .attack import build_table
+
     print(build_table(ns.block_size).render())
     return EXIT_OK
 
@@ -119,6 +118,8 @@ def _parse_selector(text: str, block_count: int) -> BitString:
 
 
 def _cmd_attack_preimage(ns: argparse.Namespace) -> int:
+    from .attack import enumerate_preimages, forge
+
     tpl = read_template_file(ns.template)
     if ns.enumerate:
         if ns.limit is None:
@@ -157,16 +158,22 @@ def _print_report(report, as_json: bool) -> None:
 
 
 def _cmd_analyze_census(ns: argparse.Namespace) -> int:
+    from .analysis import fiber_census
+
     _print_report(fiber_census(ns.bits, ns.block_size), ns.json)
     return EXIT_OK
 
 
 def _cmd_analyze_recovery(ns: argparse.Namespace) -> int:
+    from .analysis import recovery_probability
+
     _print_report(recovery_probability(ns.bits, ns.block_size, ns.trials, ns.seed), ns.json)
     return EXIT_OK
 
 
 def _cmd_analyze_link(ns: argparse.Namespace) -> int:
+    from .analysis import linkability_study
+
     report = linkability_study(
         ns.users,
         ns.devices,
@@ -180,6 +187,8 @@ def _cmd_analyze_link(ns: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_revoke(ns: argparse.Namespace) -> int:
+    from .analysis import revocability_check
+
     if ns.infile is not None:
         fv = bits.read_feature(ns.infile)
     elif ns.bits is not None and ns.seed is not None:
@@ -191,6 +200,8 @@ def _cmd_analyze_revoke(ns: argparse.Namespace) -> int:
 
 
 def _cmd_store_enroll(ns: argparse.Namespace) -> int:
+    from .store import TemplateStore
+
     fv, params, store = bits.read_feature(ns.infile), _params(ns), TemplateStore(ns.root)
     try:
         store.enroll_feature(ns.device, ns.user, fv, params)
@@ -205,6 +216,8 @@ def _cmd_store_enroll(ns: argparse.Namespace) -> int:
 
 
 def _cmd_store_auth(ns: argparse.Namespace) -> int:
+    from .store import TemplateStore
+
     store = TemplateStore(ns.root)
     probe = bits.read_feature(ns.probe)
     decision = store.authenticate(ns.device, ns.user, probe, ns.threshold)
@@ -213,6 +226,8 @@ def _cmd_store_auth(ns: argparse.Namespace) -> int:
 
 
 def _cmd_store_list(ns: argparse.Namespace) -> int:
+    from .store import TemplateStore
+
     for e in TemplateStore(ns.root).list_records():
         print(e.to_line())
     return EXIT_OK

@@ -693,6 +693,33 @@ class TestParserReuse:
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
+    # In process, an earlier test has usually loaded every module already,
+    # so only a fresh interpreter shows what a command imports.
+    LOADED = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'blokit')))\n"
+
+    def test_import_loads_only_the_modules_every_command_needs(self):
+        proc = subprocess.run([sys.executable, "-c", "import sys, blokit.cli\n" + self.LOADED],
+                              env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "blokit blokit.bits blokit.cli blokit.errors blokit.transform\n"
+
+    def test_match_loads_neither_store_nor_analysis(self, tmp_path):
+        feature, template = str(tmp_path / "f.bits"), str(tmp_path / "t.blo")
+        ok(["gen", "--bits", "1795", "--seed", "7", "--out", feature])
+        ok(["enroll", "--in", feature, "--block-size", "5", "--out", template])
+        code = (
+            "import sys\n"
+            "from blokit import cli\n"
+            f"assert cli.main(['match', '--template', {template!r}, '--probe', {feature!r}]) == 0\n"
+            + self.LOADED
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "1.000000\nblokit blokit.bits blokit.cli blokit.errors blokit.matcher blokit.transform\n"
+        )
+
     def test_plain_argv_builds_no_parser_in_a_fresh_process(self):
         code = (
             "import argparse, sys\n"
