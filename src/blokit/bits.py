@@ -13,8 +13,9 @@ Conventions used everywhere in this package:
 - Every file this package writes goes through ``write_fd``, which
   replaces an existing file's content in place: the file keeps its inode
   and is cut to the new length.  Like ``Path.write_bytes``, the write is
-  not atomic.  The file codecs open through ``write_file``, which follows
-  links; the store opens its own files with O_NOFOLLOW.
+  not atomic.  Every file it reads goes through ``read_fd``.  The file
+  codecs open through ``write_file`` and ``read_file``, which follow links;
+  the store opens its own files O_NONBLOCK, and O_NOFOLLOW to write.
 - Randomness comes from ``random.Random`` (Mersenne Twister).  The
   generator for a draw is seeded with the SHA-256 digest of the 64-bit
   master seed and a stream label, so independent streams split off one
@@ -264,8 +265,35 @@ def write_fd(fd: int, data: bytes) -> None:
 
 def write_file(path: "str | Path", data: bytes) -> None:
     """Write ``data`` as the whole content of ``path`` through ``write_fd``, following links."""
-    # Opened as a Path, so an OSError names the normalised path, as write_bytes does.
-    write_fd(os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666), data)
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        exc.filename = str(Path(path))  # the name Path.write_bytes gives: "t.blo" for "./t.blo"
+        raise
+    write_fd(fd, data)
+
+
+def read_fd(fd: int, st: "os.stat_result | None" = None) -> bytes:
+    """Read the file open at ``fd`` to EOF and close ``fd``; ``st`` is its fstat, if taken."""
+    try:
+        st = os.fstat(fd) if st is None else st
+        chunks = [os.read(fd, st.st_size + 1)]
+        # A short read, a file that changed size, or no regular file (a pipe): read on to EOF.
+        if len(chunks[0]) != st.st_size or not stat.S_ISREG(st.st_mode):
+            while chunks[-1]:
+                chunks.append(os.read(fd, 1 << 16))
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
+
+
+def read_file(path: "str | Path") -> bytes:
+    """The whole content of ``path`` through ``read_fd``; opened blocking, following links."""
+    try:
+        return read_fd(os.open(path, os.O_RDONLY))
+    except OSError as exc:  # from the open or the read: a directory opens, then fails to read
+        exc.filename = str(Path(path))  # as Path.read_bytes and a decode error name it
+        raise
 
 
 def write_bits_file(path: "str | Path", bs: BitString) -> None:
@@ -285,19 +313,17 @@ def write_bits_file(path: "str | Path", bs: BitString) -> None:
 # Path.read_text would, and parsed by from_text, which skips any other
 # whitespace and names the first bad character at its text offset.
 def read_bits_file(path: "str | Path") -> BitString:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     digits = raw.replace(b"\n", b"")
     if not digits.translate(None, b"01"):
         return BitString(int(digits or b"0", 2), len(digits))
     try:
         with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as stream:
-            text = stream.read()
+            return from_text(stream.read())
     except UnicodeDecodeError as exc:
-        raise MalformedInputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-    try:
-        return from_text(text)
+        raise MalformedInputError(f"{Path(path)}: not UTF-8 text (byte {exc.start})") from exc
     except MalformedInputError as exc:
-        raise MalformedInputError(f"{path}: {exc}") from exc
+        raise MalformedInputError(f"{Path(path)}: {exc}") from exc
 
 
 def write_fbin_file(path: "str | Path", bs: BitString) -> None:
@@ -308,27 +334,26 @@ def write_fbin_file(path: "str | Path", bs: BitString) -> None:
 
 
 def read_fbin_file(path: "str | Path") -> BitString:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     if len(raw) < 8 or raw[:4] != FBIN_MAGIC:
-        raise MalformedInputError(f"{path}: not a packed feature file (bad magic)")
+        raise MalformedInputError(f"{Path(path)}: not a packed feature file (bad magic)")
     try:
         return BitString.unpack(raw[8:], int.from_bytes(raw[4:8], "big"))
     except MalformedInputError as exc:
-        raise MalformedInputError(f"{path}: {exc}") from exc
+        raise MalformedInputError(f"{Path(path)}: {exc}") from exc
 
 
+# For a path that names a file, basename is Path(path).name, and its suffix
+# is ".fbin" just when the name ends so after at least one more character.
 def read_feature(path: "str | Path") -> FeatureVector:
     """Load a feature vector, dispatching on the '.fbin' suffix."""
-    p = Path(path)
-    bs = read_fbin_file(p) if p.suffix == ".fbin" else read_bits_file(p)
+    name = os.path.basename(path)
+    bs = read_fbin_file(path) if name[1:].endswith(".fbin") else read_bits_file(path)
     if bs.length == 0:
         raise MalformedInputError(f"{path}: empty feature file")
-    return FeatureVector(bs, provenance=p.name)
+    return FeatureVector(bs, provenance=name)
 
 
 def write_feature(path: "str | Path", fv: FeatureVector) -> None:
-    p = Path(path)
-    if p.suffix == ".fbin":
-        write_fbin_file(p, fv.data)
-    else:
-        write_bits_file(p, fv.data)
+    write = write_fbin_file if os.path.basename(path)[1:].endswith(".fbin") else write_bits_file
+    write(path, fv.data)

@@ -26,7 +26,6 @@ import argparse
 import functools
 import io
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -491,8 +490,12 @@ def _dispatch(argv: "list[str]") -> int:
 def run(argv: "list[str]") -> CommandOutcome:
     """Run one command, capturing stdout/stderr instead of touching the process."""
     out_buf, err_buf = io.StringIO(), io.StringIO()
-    with redirect_stdout(out_buf), redirect_stderr(err_buf):
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out_buf, err_buf
+    try:
         code = _dispatch(argv)
+    finally:
+        sys.stdout, sys.stderr = saved
     return CommandOutcome(exit_code=code, stdout=out_buf.getvalue(), stderr=err_buf.getvalue())
 
 

@@ -13,10 +13,12 @@ write, a '.blo' or manifest that is not a regular file (a link, FIFO,
 socket or directory) included, then rewrites the '.blo' and the manifest
 in place through ``bits.write_fd``, each opened with O_NOFOLLOW so that
 neither is written through a link.  Every open is O_NONBLOCK, so a FIFO
-never blocks a store call.  Neither write is atomic.  Single writer,
-multiple readers; concurrent writers are out of contract.  Templates are
-stored in the clear on purpose: the point of the exercise is that the
-templates themselves are the vulnerability.
+never blocks a store call: a read opens its own O_NONBLOCK descriptor,
+refuses a file that is not regular, then reads through ``bits.read_fd``.
+Neither write is atomic.  Single writer, multiple readers; concurrent
+writers are out of contract.  Templates are stored in the clear on
+purpose: the point of the exercise is that the templates themselves are
+the vulnerability.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bits import FeatureVector, write_fd
+from .bits import FeatureVector, read_fd, write_fd
 from .errors import (
     InvalidArgumentError,
     ManifestError,
@@ -107,17 +109,14 @@ def _read_regular(path: "str | Path") -> "bytes | None":
         if exc.errno == errno.ENXIO:  # a socket, or a device with no driver
             return None
         raise
+    regular = False
     try:
         st = os.fstat(fd)
-        if not stat.S_ISREG(st.st_mode):
-            return None
-        raw = os.read(fd, st.st_size + 1)
-        if len(raw) != st.st_size:  # a short read, or the file changed: read on to EOF
-            with open(fd, "rb", buffering=0, closefd=False) as f:
-                raw += f.readall()
-        return raw
+        regular = stat.S_ISREG(st.st_mode)
     finally:
-        os.close(fd)
+        if not regular:
+            os.close(fd)
+    return read_fd(fd, st) if regular else None
 
 
 class TemplateStore:

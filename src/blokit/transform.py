@@ -24,7 +24,7 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bits import BitString, FeatureVector, write_file
+from .bits import BitString, FeatureVector, read_file, write_file
 from .errors import InvalidArgumentError, MalformedInputError
 
 BLO_MAGIC = b"BLO1"
@@ -253,9 +253,8 @@ def write_template_file(path: "str | Path", tpl: ProtectedTemplate) -> None:
 
 
 def read_template_file(path: "str | Path") -> ProtectedTemplate:
-    # Opened as a Path, so an OSError names the normalised path ("t.blo" for "./t.blo").
-    with open(Path(path), "rb") as f:
-        return decode_template(f.read(), path)
+    """Decode the '.blo' file at ``path``, read through ``bits.read_file``."""
+    return decode_template(read_file(path), path)
 
 
 def decode_template(raw: bytes, source: "str | Path") -> ProtectedTemplate:

@@ -3,10 +3,11 @@ import os
 from pathlib import Path
 import random
 import re
+import tempfile
 import threading
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from blokit import (
@@ -25,16 +26,19 @@ from blokit import (
     unpack,
 )
 from blokit.bits import (
+    FBIN_MAGIC,
     read_bits_file,
     read_fbin_file,
+    read_fd,
     read_feature,
+    read_file,
     stream_draws,
     write_bits_file,
     write_fbin_file,
     write_feature,
     write_file,
 )
-from blokit.transform import TransformParams, transform, write_template_file
+from blokit.transform import TransformParams, read_template_file, transform, write_template_file
 
 from conftest import (
     bit_strings,
@@ -557,3 +561,98 @@ class TestWriteFile:
             write_template_file(tmp_path / "t.blo", transform(fv, TransformParams(5)))
         assert len(flags) == 6
         assert not any(flag & os.O_TRUNC for flag in flags)
+
+
+class TestReadFile:
+    def test_fifo_is_read_to_eof(self, tmp_path):
+        fifo = tmp_path / "f.fifo"
+        os.mkfifo(fifo)
+        data = random.Random(5).randbytes(200_000)  # more than a pipe holds: several reads
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        assert read_file(fifo) == data
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_short_reads_are_read_on(self, tmp_path, monkeypatch):
+        data = random.Random(6).randbytes(50_000)
+        path = tmp_path / "f.bin"
+        path.write_bytes(data)
+        read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, 1000)))
+        assert read_file(path) == data
+        assert read_fd(os.open(path, os.O_RDONLY)) == data
+
+    def test_read_fd_closes_the_descriptor(self, tmp_path):
+        path = tmp_path / "d"
+        path.mkdir()
+        fd = os.open(path, os.O_RDONLY)
+        with pytest.raises(IsADirectoryError):
+            read_fd(fd)
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+    @pytest.mark.parametrize(
+        "reader, ext",
+        [(read_feature, ".bits"), (read_feature, ".fbin"), (read_template_file, ".blo")],
+        ids=["bits", "fbin", "blo"],
+    )
+    @pytest.mark.parametrize(
+        "name",
+        ["missing{}", "./missing{}", "adir//missing{}", "adir{}", "./adir{}", "plain/x{}",
+         "dangling{}"],
+        ids=["missing", "dot-slash", "double-slash", "directory", "dot-slash-directory",
+             "through-a-file", "dangling-symlink"],
+    )
+    def test_os_error_text_is_read_bytes(self, tmp_path, monkeypatch, reader, ext, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / f"adir{ext}").mkdir()
+        (tmp_path / "plain").write_bytes(b"0\n")
+        (tmp_path / f"dangling{ext}").symlink_to("nowhere")
+        name = name.format(ext)
+        with pytest.raises(OSError) as old:
+            Path(name).read_bytes()
+        with pytest.raises(type(old.value), match=f"^{re.escape(str(old.value))}$"):
+            reader(name)
+
+    @pytest.mark.parametrize("name, raw", [("./bad.bits", b"012\n"), ("./bad.fbin", b"XXXX")])
+    def test_decode_error_names_the_normalised_path(self, tmp_path, monkeypatch, name, raw):
+        monkeypatch.chdir(tmp_path)
+        Path(name).write_bytes(raw)
+        with pytest.raises(MalformedInputError, match=r"^bad\.(bits|fbin): "):
+            read_feature(name)
+
+
+def file_paths():
+    """Relative paths whose last segment is a file name, joined with '/' and '//'."""
+    dirs = st.sampled_from(["x.fbin", ".fbin", "x.FBIN", "x.fbin.bits", "..fbin", ".", ".."])
+    names = st.sampled_from(["x.fbin", ".fbin", "x.FBIN", "x.fbin.bits", "..fbin", "x.fbin."])
+    seps = st.sampled_from(["/", "//"])
+    parts = st.lists(st.tuples(dirs, seps), max_size=3)
+    return st.builds(lambda ps, name: "".join(d + s for d, s in ps) + name, parts, names)
+
+
+class TestPathSemantics:
+    @settings(max_examples=150, deadline=None)
+    @given(path=file_paths())
+    def test_fbin_choice_and_provenance_are_paths(self, tmp_path_factory, path):
+        # Four levels down, so that every '..' stays inside this example's directory.
+        cwd = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())) / "a" / "b" / "c"
+        cwd.mkdir(parents=True)
+        parent = os.path.dirname(path)
+        try:
+            os.makedirs(cwd / parent, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            assume(False)
+        assume(not (cwd / path).is_dir())
+        fv = FeatureVector(from_text("1011"))
+        saved = os.getcwd()
+        os.chdir(cwd)
+        try:
+            write_feature(path, fv)
+            is_fbin = Path(path).read_bytes().startswith(FBIN_MAGIC)
+            back = read_feature(path)
+        finally:
+            os.chdir(saved)
+        assert is_fbin == (Path(path).suffix == ".fbin")
+        assert back == FeatureVector(fv.data, provenance=Path(path).name)

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
 
@@ -553,6 +554,28 @@ class TestUsageContract:
         outcome = run(["enroll", "--in", str(tmp_path / "nope.bits"),
                        "--block-size", "5", "--out", str(tmp_path / "t.blo")])
         assert outcome.exit_code == 1
+
+    def test_directory_template_names_the_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ok(["gen", "--bits", "20", "--seed", "1", "--out", "f.bits"])
+        (tmp_path / "adir.bits").mkdir()
+        outcome = run(["match", "--template", "adir.bits", "--probe", "f.bits"])
+        assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (
+            1, "", "blokit: error: [Errno 21] Is a directory: 'adir.bits'\n")
+
+    def test_enroll_reads_a_fifo(self, tmp_path):
+        fifo, t = tmp_path / "f.fifo", tmp_path / "t.blo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=fifo.write_bytes, args=(GEN_1795_SEED7_BITS.read_bytes(),), daemon=True)
+        writer.start()
+        outcome = run(["enroll", "--in", str(fifo), "--block-size", "5", "--out", str(t)])
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        expected = ok(["enroll", "--in", str(GEN_1795_SEED7_BITS), "--block-size", "5",
+                       "--out", str(tmp_path / "u.blo")])
+        assert outcome == expected
+        assert t.read_bytes() == (tmp_path / "u.blo").read_bytes()
 
     def test_non_utf8_bits_file_is_error(self, tmp_path):
         f, bad, t = tmp_path / "f.bits", tmp_path / "bad.bits", tmp_path / "t.blo"
