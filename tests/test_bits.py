@@ -636,7 +636,7 @@ class TestPathSemantics:
     @settings(max_examples=150, deadline=None)
     @given(path=file_paths())
     def test_fbin_choice_and_provenance_are_paths(self, tmp_path_factory, path):
-        # Four levels down, so that every '..' stays inside this example's directory.
+        # Three levels below this example's own directory, so at most three '..' stay inside it.
         cwd = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())) / "a" / "b" / "c"
         cwd.mkdir(parents=True)
         parent = os.path.dirname(path)
