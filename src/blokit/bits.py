@@ -10,6 +10,7 @@ Conventions used everywhere in this package:
   the bytes are checked first: digits and '\n' alone decode straight
   from the bytes, and only other input is decoded as UTF-8 text, to skip
   other whitespace or to name a fault.
+- Every error names a file as ``path_name`` does: ``t.blo`` for ``./t.blo``.
 - Every file this package writes goes through ``write_fd``, which
   replaces an existing file's content in place: the file keeps its inode
   and is cut to the new length.  Like ``Path.write_bytes``, the write is
@@ -35,7 +36,6 @@ import stat
 import struct
 from contextlib import suppress
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, DimensionError, InvalidArgumentError, MalformedInputError
@@ -263,12 +263,18 @@ def write_fd(fd: int, data: bytes) -> None:
         os.close(fd)
 
 
-def write_file(path: "str | Path", data: bytes) -> None:
+def path_name(path: "str | os.PathLike[str]") -> str:
+    """The name every error gives a file: the text ``pathlib.Path(path)`` prints."""
+    from pathlib import Path  # here, so that only a message naming a file loads pathlib
+    return str(Path(path))
+
+
+def write_file(path: "str | os.PathLike[str]", data: bytes) -> None:
     """Write ``data`` as the whole content of ``path`` through ``write_fd``, following links."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
-        exc.filename = str(Path(path))  # the name Path.write_bytes gives: "t.blo" for "./t.blo"
+        exc.filename = path_name(path)  # as Path.write_bytes names it
         raise
     write_fd(fd, data)
 
@@ -287,16 +293,16 @@ def read_fd(fd: int, st: "os.stat_result | None" = None) -> bytes:
         os.close(fd)
 
 
-def read_file(path: "str | Path") -> bytes:
+def read_file(path: "str | os.PathLike[str]") -> bytes:
     """The whole content of ``path`` through ``read_fd``; opened blocking, following links."""
     try:
         return read_fd(os.open(path, os.O_RDONLY))
     except OSError as exc:  # from the open or the read: a directory opens, then fails to read
-        exc.filename = str(Path(path))  # as Path.read_bytes and a decode error name it
+        exc.filename = path_name(path)  # as Path.read_bytes names it
         raise
 
 
-def write_bits_file(path: "str | Path", bs: BitString) -> None:
+def write_bits_file(path: "str | os.PathLike[str]", bs: BitString) -> None:
     """Write the text codec ('.bits'): '0'/'1' characters in 64-digit lines."""
     text = bs.to_text().encode("ascii")
     whole, tail = divmod(len(text), 64)
@@ -312,7 +318,7 @@ def write_bits_file(path: "str | Path", bs: BitString) -> None:
 # Anything else is decoded as UTF-8 text with universal newlines, exactly as
 # Path.read_text would, and parsed by from_text, which skips any other
 # whitespace and names the first bad character at its text offset.
-def read_bits_file(path: "str | Path") -> BitString:
+def read_bits_file(path: "str | os.PathLike[str]") -> BitString:
     raw = read_file(path)
     digits = raw.replace(b"\n", b"")
     if not digits.translate(None, b"01"):
@@ -321,39 +327,39 @@ def read_bits_file(path: "str | Path") -> BitString:
         with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as stream:
             return from_text(stream.read())
     except UnicodeDecodeError as exc:
-        raise MalformedInputError(f"{Path(path)}: not UTF-8 text (byte {exc.start})") from exc
+        raise MalformedInputError(f"{path_name(path)}: not UTF-8 text (byte {exc.start})") from exc
     except MalformedInputError as exc:
-        raise MalformedInputError(f"{Path(path)}: {exc}") from exc
+        raise MalformedInputError(f"{path_name(path)}: {exc}") from exc
 
 
-def write_fbin_file(path: "str | Path", bs: BitString) -> None:
+def write_fbin_file(path: "str | os.PathLike[str]", bs: BitString) -> None:
     """Write the packed binary codec ('.fbin'): magic, u32 length, payload."""
     if bs.length >= 1 << 32:
         raise InvalidArgumentError("bit length does not fit the 32-bit header field")
     write_file(path, FBIN_MAGIC + bs.length.to_bytes(4, "big") + bs.pack())
 
 
-def read_fbin_file(path: "str | Path") -> BitString:
+def read_fbin_file(path: "str | os.PathLike[str]") -> BitString:
     raw = read_file(path)
-    if len(raw) < 8 or raw[:4] != FBIN_MAGIC:
-        raise MalformedInputError(f"{Path(path)}: not a packed feature file (bad magic)")
     try:
+        if len(raw) < 8 or raw[:4] != FBIN_MAGIC:
+            raise MalformedInputError("not a packed feature file (bad magic)")
         return BitString.unpack(raw[8:], int.from_bytes(raw[4:8], "big"))
     except MalformedInputError as exc:
-        raise MalformedInputError(f"{Path(path)}: {exc}") from exc
+        raise MalformedInputError(f"{path_name(path)}: {exc}") from exc
 
 
 # For a path that names a file, basename is Path(path).name, and its suffix
 # is ".fbin" just when the name ends so after at least one more character.
-def read_feature(path: "str | Path") -> FeatureVector:
+def read_feature(path: "str | os.PathLike[str]") -> FeatureVector:
     """Load a feature vector, dispatching on the '.fbin' suffix."""
     name = os.path.basename(path)
     bs = read_fbin_file(path) if name[1:].endswith(".fbin") else read_bits_file(path)
     if bs.length == 0:
-        raise MalformedInputError(f"{path}: empty feature file")
+        raise MalformedInputError(f"{path_name(path)}: empty feature file")
     return FeatureVector(bs, provenance=name)
 
 
-def write_feature(path: "str | Path", fv: FeatureVector) -> None:
+def write_feature(path: "str | os.PathLike[str]", fv: FeatureVector) -> None:
     write = write_fbin_file if os.path.basename(path)[1:].endswith(".fbin") else write_bits_file
     write(path, fv.data)

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bits import FeatureVector, read_fd, write_fd
+from .bits import FeatureVector, path_name, read_fd, write_fd
 from .errors import (
     InvalidArgumentError,
     ManifestError,
@@ -200,9 +200,7 @@ class TemplateStore:
     def load_template(self, device_id: str, user_id: str) -> ProtectedTemplate:
         _check_id("device", device_id)
         _check_id("user", user_id)
-        root = str(self.root)
-        # The text of self.root / device_id / name, which drops a "." root.
-        path = os.path.join(root if root != "." else "", device_id, f"{user_id}.blo")
+        path = os.path.join(self.root, device_id, f"{user_id}.blo")
         try:
             raw = _read_regular(path)
         except (OSError, ValueError) as exc:
@@ -210,6 +208,7 @@ class TemplateStore:
             # unencodable character (ValueError) names no file either.
             self._require_root()
             if isinstance(exc, OSError) and exc.errno not in _ABSENT_ERRNOS:
+                exc.filename = path_name(path)
                 raise
             raise _not_enrolled(device_id, user_id) from None
         if raw is None:

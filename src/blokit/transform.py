@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
-from .bits import BitString, FeatureVector, read_file, write_file
+from .bits import BitString, FeatureVector, path_name, read_file, write_file
 from .errors import InvalidArgumentError, MalformedInputError
 
 BLO_MAGIC = b"BLO1"
@@ -247,26 +247,26 @@ def encode_template(tpl: ProtectedTemplate) -> bytes:
     return header + tpl.data.pack()
 
 
-def write_template_file(path: "str | Path", tpl: ProtectedTemplate) -> None:
+def write_template_file(path: "str | os.PathLike[str]", tpl: ProtectedTemplate) -> None:
     """Write ``encode_template(tpl)`` to ``path`` through ``bits.write_file``."""
     write_file(path, encode_template(tpl))
 
 
-def read_template_file(path: "str | Path") -> ProtectedTemplate:
+def read_template_file(path: "str | os.PathLike[str]") -> ProtectedTemplate:
     """Decode the '.blo' file at ``path``, read through ``bits.read_file``."""
     return decode_template(read_file(path), path)
 
 
-def decode_template(raw: bytes, source: "str | Path") -> ProtectedTemplate:
-    """Decode the '.blo' codec; a MalformedInputError names ``source``."""
-    if len(raw) < _BLO_HEADER.size or raw[:4] != BLO_MAGIC:
-        raise MalformedInputError(f"{source}: not a template file (bad magic)")
-    _, version, policy_byte, block_size, original_length, data_bits = _BLO_HEADER.unpack_from(raw)
-    if version != BLO_VERSION:
-        raise MalformedInputError(f"{source}: unsupported version {version}")
-    if policy_byte not in _BYTE_POLICY:
-        raise MalformedInputError(f"{source}: unknown padding policy byte {policy_byte:#x}")
+def decode_template(raw: bytes, source: "str | os.PathLike[str]") -> ProtectedTemplate:
+    """Decode the '.blo' codec; a MalformedInputError names ``source`` through ``path_name``."""
     try:
+        if len(raw) < _BLO_HEADER.size or raw[:4] != BLO_MAGIC:
+            raise MalformedInputError("not a template file (bad magic)")
+        _, version, policy_byte, block_size, original_length, data_bits = _BLO_HEADER.unpack_from(raw)
+        if version != BLO_VERSION:
+            raise MalformedInputError(f"unsupported version {version}")
+        if policy_byte not in _BYTE_POLICY:
+            raise MalformedInputError(f"unknown padding policy byte {policy_byte:#x}")
         params = TransformParams(block_size, _BYTE_POLICY[policy_byte])
         data = BitString.unpack(raw[_BLO_HEADER.size :], data_bits)
         if data_bits % (block_size - 1):
@@ -280,4 +280,4 @@ def decode_template(raw: bytes, source: "str | Path") -> ProtectedTemplate:
             block_count=data_bits // (block_size - 1),
         )
     except (InvalidArgumentError, MalformedInputError) as exc:
-        raise MalformedInputError(f"{source}: {exc}") from exc
+        raise MalformedInputError(f"{path_name(source)}: {exc}") from exc

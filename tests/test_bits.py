@@ -27,6 +27,7 @@ from blokit import (
 )
 from blokit.bits import (
     FBIN_MAGIC,
+    path_name,
     read_bits_file,
     read_fbin_file,
     read_fd,
@@ -615,12 +616,19 @@ class TestReadFile:
         with pytest.raises(type(old.value), match=f"^{re.escape(str(old.value))}$"):
             reader(name)
 
-    @pytest.mark.parametrize("name, raw", [("./bad.bits", b"012\n"), ("./bad.fbin", b"XXXX")])
+    @pytest.mark.parametrize("name, raw", [("./bad.bits", b"012\n"), ("./bad.fbin", b"XXXX"),
+                                           ("./bad.blo", b"XXXX"), ("./empty.bits", b"")])
     def test_decode_error_names_the_normalised_path(self, tmp_path, monkeypatch, name, raw):
         monkeypatch.chdir(tmp_path)
         Path(name).write_bytes(raw)
-        with pytest.raises(MalformedInputError, match=r"^bad\.(bits|fbin): "):
-            read_feature(name)
+        read = read_template_file if name.endswith(".blo") else read_feature
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(name[2:])}: "):
+            read(name)
+
+    @pytest.mark.parametrize("name", ["t.blo", "./t.blo", "a//b", "a/./b/", ".", "/", "//x", "a/.."])
+    def test_path_name_is_the_text_path_prints(self, name):
+        assert path_name(name) == str(Path(name))
+        assert path_name(Path(name)) == str(Path(name))
 
 
 def file_paths():

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import io
 import os
 import shlex
@@ -387,6 +388,17 @@ class TestStoreCommands:
             1, "", f"blokit: error: {error.format(root=root)}\n")
         assert store_state(root) == before
 
+    def test_dot_root_names_a_reraised_os_error_without_a_prefix(self, tmp_path, monkeypatch):
+        ok(["gen", "--bits", "20", "--seed", "1", "--out", str(tmp_path / "f.bits")])
+        monkeypatch.chdir(tmp_path)
+        ok(["store", "enroll", "--root", ".", "--device", "d1", "--user", "u1", "--in", "f.bits",
+            "--block-size", "5"])
+        outcome = run(["store", "auth", "--root", ".", "--device", "d1", "--user", "u" * 300,
+                       "--probe", "f.bits"])
+        assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (1, "", (
+            f"blokit: error: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: "
+            f"'d1/{'u' * 300}.blo'\n"))
+
     def test_non_utf8_manifest_is_one_line_error(self, tmp_path):
         root = tmp_path / "store"
         f = tmp_path / "f.bits"
@@ -619,6 +631,24 @@ class TestUsageContract:
             )
         assert not (tmp_path / "x.blo").exists()
 
+    @pytest.mark.parametrize(
+        "args, error",
+        [(["match", "--template", "./bad.blo", "--probe", "f.bits"],
+          "bad.blo: not a template file (bad magic)"),
+         (["enroll", "--in", "./empty.bits", "--block-size", "5", "--out", "x.blo"],
+          "empty.bits: empty feature file")],
+        ids=["bad-template", "empty-feature"],
+    )
+    def test_dot_slash_file_is_named_as_a_missing_one_is(self, tmp_path, monkeypatch, args, error):
+        monkeypatch.chdir(tmp_path)
+        ok(["gen", "--bits", "20", "--seed", "1", "--out", "f.bits"])
+        (tmp_path / "bad.blo").write_bytes(b"XXXX")
+        (tmp_path / "empty.bits").write_bytes(b"")
+        outcome = run(args)
+        assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (
+            1, "", f"blokit: error: {error}\n")
+        assert not (tmp_path / "x.blo").exists()
+
     def test_even_block_size_reports_error(self, tmp_path):
         f = tmp_path / "f.bits"
         f.write_text("101010\n")
@@ -742,6 +772,31 @@ class TestParserReuse:
         assert proc.stdout == (
             "1.000000\nblokit blokit.bits blokit.cli blokit.errors blokit.matcher blokit.transform\n"
         )
+
+    def test_quick_start_never_loads_pathlib(self, tmp_path):
+        # -S: some site .pth files import pathlib before blokit is imported.
+        code = (
+            "import sys\n"
+            "from blokit import cli\n"
+            "for argv in (['gen', '--bits', '1795', '--seed', '7', '--out', 'f.bits'],\n"
+            "             ['enroll', '--in', 'f.bits', '--block-size', '5', '--out', 't.blo'],\n"
+            "             ['attack', 'preimage', '--template', 't.blo', '--selector', '0',\n"
+            "              '--out', 'forged.bits'],\n"
+            "             ['match', '--template', 't.blo', '--probe', 'forged.bits'],\n"
+            "             ['attack', 'verify', '--template', 't.blo', '--probe', 'forged.bits']):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "print('pathlib' in sys.modules)\n"
+            "assert cli.main(['match', '--template', './missing.blo', '--probe', 'f.bits']) == 1\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
+                              env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "blocks\t359\ntemplate_bits\t1436\npreimages\t2^359\n1.000000\nresult\tvalid\nFalse\n"
+        )
+        # The error path imports pathlib for the name, and names the file as before.
+        assert proc.stderr == "blokit: error: [Errno 2] No such file or directory: 'missing.blo'\n"
 
     def test_plain_argv_builds_no_parser_in_a_fresh_process(self):
         code = (

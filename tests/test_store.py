@@ -1,3 +1,4 @@
+import errno
 import os
 import signal
 import socket
@@ -454,6 +455,16 @@ class TestLookupContract:
         monkeypatch.chdir(tmp_path)
         with pytest.raises(MalformedInputError, match="^d1/alice.blo: "):
             TemplateStore(".").load_template("d1", "alice")
+
+    def test_dot_root_names_a_reraised_os_error_without_a_prefix(self, enrolled, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(OSError) as raised:
+            TemplateStore(".").load_template("d1", "u" * 300)
+        assert raised.value.errno == errno.ENAMETOOLONG
+        assert str(raised.value) == (
+            f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: 'd1/{'u' * 300}.blo'"
+        )
 
     def test_authenticate_makes_no_stat_call(self, enrolled, monkeypatch):
         store, fv = enrolled
