@@ -55,15 +55,7 @@ class AnalysisReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "parameters": self.parameters,
-                "findings": self.findings,
-                "verdict": self.verdict,
-            },
-            indent=2,
-        )
+        return json.dumps(vars(self), indent=2)
 
 
 def _fmt(value: object) -> str:

@@ -29,12 +29,10 @@ and safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import random
 import stat
 import struct
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -44,8 +42,8 @@ _SEED_MASK = (1 << 64) - 1
 
 FBIN_MAGIC = b"FBV1"
 
-# Bit values as bytes <-> the text codec's ASCII digits.
-_TO_DIGITS, _FROM_DIGITS = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
+# The text codec's ASCII digits -> bit values as bytes.
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class BitString:
@@ -69,11 +67,10 @@ class BitString:
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitString":
         bits = list(bits)
-        with suppress(TypeError):  # from bytes(): a non-integer equal to 0 or 1, such as 1.0
-            if bits.count(0) + bits.count(1) == len(bits):
-                return cls(int(bytes(bits).translate(_TO_DIGITS) or b"0", 2), len(bits))
-        bad = next(b for b in bits if b not in (0, 1) or not hasattr(b, "__index__"))
-        raise InvalidArgumentError(f"bit value {bad!r} is not 0 or 1")
+        for b in bits:
+            if b not in (0, 1) or not hasattr(b, "__index__"):  # 1.0 equals 1 but is no bit
+                raise InvalidArgumentError(f"bit value {b!r} is not 0 or 1")
+        return cls(int("".join("01"[b] for b in bits) or "0", 2), len(bits))
 
     @classmethod
     def zeros(cls, length: int) -> "BitString":
@@ -324,8 +321,7 @@ def read_bits_file(path: "str | os.PathLike[str]") -> BitString:
     if not digits.translate(None, b"01"):
         return BitString(int(digits or b"0", 2), len(digits))
     try:
-        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as stream:
-            return from_text(stream.read())
+        return from_text(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"{path_name(path)}: not UTF-8 text (byte {exc.start})") from exc
     except MalformedInputError as exc:

@@ -348,19 +348,14 @@ _COMMANDS = {
 }
 
 
-def _word_dest(words: "tuple[str, ...]") -> str:
-    """The Namespace attribute that holds the command word after ``words``."""
-    return f"{words[-1]}_command" if words else "command"
-
-
 def build_parser() -> _Parser:
     """The argparse tree of ``_COMMANDS``: it alone writes help, usage and error text."""
     parser = _Parser(prog="blokit", description=__doc__.splitlines()[0])
-    subparsers = {(): parser.add_subparsers(dest=_word_dest(()), metavar="COMMAND", required=True)}
+    subparsers = {(): parser.add_subparsers(metavar="COMMAND", required=True)}
     for words, (summary, func, options) in _COMMANDS.items():
         p = subparsers[words[:-1]].add_parser(words[-1], help=summary)
         if func is None:
-            subparsers[words] = p.add_subparsers(dest=_word_dest(words), metavar="SUBCOMMAND", required=True)
+            subparsers[words] = p.add_subparsers(metavar="SUBCOMMAND", required=True)
             continue
         groups = {}
         for o in options:
@@ -401,8 +396,7 @@ def _tables() -> dict:
         if func is None:
             node[words[-1]] = {}
             continue
-        flags, required, groups = {}, [], {}
-        values = {_word_dest(words[:i]): word for i, word in enumerate(words)}
+        flags, values, required, groups = {}, {}, [], {}
         for o in options:
             is_flag = o.type is bool
             flags[o.flag] = (o.dest, None, None, True) if is_flag else (o.dest, o.type, o.choices, None)

@@ -137,6 +137,11 @@ class TemplateStore:
         """Persist the template and add or replace its manifest entry."""
         _check_id("device", record.device_id)
         _check_id("user", record.user_id)
+        for kind, value in (("device", record.device_id), ("user", record.user_id)):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate: a non-UTF-8 byte in argv
+                raise InvalidArgumentError(f"malformed {kind} id: {value!r}") from None
         filename = f"{record.device_id}/{record.user_id}.blo"
         line = ManifestEntry(
             device_id=record.device_id,
@@ -146,12 +151,6 @@ class TemplateStore:
             original_length=record.template.original_length,
             enrolled_at=record.enrolled_at,
         ).to_line()
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as exc:  # a lone surrogate: a non-UTF-8 byte in argv
-            on_device = exc.start < len(record.device_id)
-            kind, value = ("device", record.device_id) if on_device else ("user", record.user_id)
-            raise InvalidArgumentError(f"malformed {kind} id: {value!r}") from None
         blo = encode_template(record.template)  # a template the header cannot hold is refused first
         path = self.root / Path(filename)
         try:

@@ -418,6 +418,20 @@ class TestReportRendering:
         assert doc["findings"] == report.findings
         assert doc["verdict"] == report.verdict
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: linkability_study(3, 2, ZP, seed=1, keyed_baseline=True), lambda: fiber_census(10, 5)],
+        ids=["keyed-link", "census"],
+    )
+    def test_json_bytes_keep_field_order_and_indent(self, make):
+        report = make()
+        expected = json.dumps(
+            {"kind": report.kind, "parameters": report.parameters,
+             "findings": report.findings, "verdict": report.verdict},
+            indent=2,
+        )
+        assert report.to_json() == expected
+
     def test_verdict_values_appear_in_findings(self):
         report = revocability_check(FeatureVector(random_bits(10, 1)), ZP, attempts=5)
         assert str(report.findings["distinct_templates"]) in report.verdict

@@ -413,6 +413,7 @@ EXOTIC_BITS_FILES = {
     "x1c": b"01\x1c10\n",
     "bad-byte-after-crlf": b"0110\r\n10\xff1\r\n",
     "bad-char-after-crlf": b"0110\r\n1021\r\n",
+    "bad-byte-past-8k": b"0110\r\n" * 2000 + b"1\xff\n",
     "empty": b"",
     "newlines-only": b"\n\n",
     "bad-char": b"10102\n",

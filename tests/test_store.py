@@ -186,6 +186,7 @@ class TestListRecords:
             ("\udcff", "alice", r"^malformed device id: '\\udcff'$"),
             ("d2", "\udcff", r"^malformed user id: '\\udcff'$"),
             ("\udcff", "\ud800", r"^malformed device id: '\\udcff'$"),
+            ("\udcff", "a/b", r"^malformed user id: 'a/b'$"),
         ]:
             with pytest.raises(InvalidArgumentError, match=error):
                 store.enroll(record(device, user, fv))
