@@ -6,10 +6,13 @@ Conventions used everywhere in this package:
   significant bit of the packed byte form (MSB-first).
 - The text codec uses '0'/'1' characters; whitespace is ignored on input
   so fixtures can be wrapped and grouped freely.  '.bits' files are
-  written as bytes, in 64-digit lines each ending in '\n'.  On reading,
-  the bytes are checked first: digits and '\n' alone decode straight
-  from the bytes, and only other input is decoded as UTF-8 text, to skip
-  other whitespace or to name a fault.
+  written as bytes, in 64-digit lines each ending in '\n'.  The writer
+  packs the value MSB-first, spreads each bit pair of a packed byte into
+  one byte whose two hex digits are those bits, and prints them with
+  ``binascii.b2a_hex`` and a newline after every 64 digits.  The reader
+  lets ``int(digits, 2)`` do the check: digits and '\n' alone decode
+  straight from the bytes, and only other input is decoded as UTF-8
+  text, to skip other whitespace or to name a fault.
 - Every error names a file as ``path_name`` does: ``t.blo`` for ``./t.blo``.
 - Every file this package writes goes through ``write_fd``, which
   replaces an existing file's content in place: the file keeps its inode
@@ -21,6 +24,7 @@ Conventions used everywhere in this package:
   generator for a draw is seeded with the SHA-256 digest of the 64-bit
   master seed and a stream label, so independent streams split off one
   seed and every draw is reproducible across runs and platforms.
+  ``hashlib`` is loaded by the first seeded draw.
 
 All values are immutable after construction; every function here is pure
 and safe for unrestricted concurrent use.
@@ -28,11 +32,9 @@ and safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 import stat
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -44,6 +46,13 @@ FBIN_MAGIC = b"FBV1"
 
 # The text codec's ASCII digits -> bit values as bytes.
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+# _PAIR_NIBBLES[j] maps a byte to the byte whose two hex digits are its bits
+# 2j and 2j + 1, counted from the most significant: 0x00, 0x01, 0x10 or 0x11.
+_PAIR_NIBBLES = [
+    b"".join(bytes((d,)) * (64 >> 2 * j) for d in b"\x00\x01\x10\x11") * (1 << 2 * j)
+    for j in range(4)
+]
 
 
 class BitString:
@@ -186,10 +195,24 @@ def hamming_distance(x: BitString, y: BitString) -> int:
     return (x.value ^ y.value).bit_count()
 
 
-def _stream_seed(seed: int, stream: "int | str") -> int:
+def _sha256_seed(seed: int, stream: "int | str") -> int:
     # Frozen: every seeded output in the package depends on this derivation.
     digest = hashlib.sha256(f"{seed & _SEED_MASK}/{stream}".encode()).digest()
     return int.from_bytes(digest, "big")
+
+
+def _stream_seed(seed: int, stream: "int | str") -> int:
+    """``_sha256_seed``, once ``hashlib`` is loaded; only seeded draws need it.
+
+    The first call imports ``hashlib`` and rebinds this global to
+    ``_sha256_seed``.  Callers look the global up on every call, so each
+    later call goes straight to the real function.
+    """
+    global _stream_seed, hashlib
+    import hashlib
+
+    _stream_seed = _sha256_seed
+    return _sha256_seed(seed, stream)
 
 
 def stream_rng(seed: int, stream: "int | str" = 0) -> random.Random:
@@ -301,25 +324,39 @@ def read_file(path: "str | os.PathLike[str]") -> bytes:
 
 def write_bits_file(path: "str | os.PathLike[str]", bs: BitString) -> None:
     """Write the text codec ('.bits'): '0'/'1' characters in 64-digit lines."""
-    text = bs.to_text().encode("ascii")
-    whole, tail = divmod(len(text), 64)
-    # A Struct of its own: struct.unpack_from would keep the compiled
-    # format, about 0.6 MB per Mbit, in a cache of up to 100 formats.
-    lines = list(struct.Struct("64s" * whole).unpack_from(text))
-    if tail:
-        lines.append(text[-tail:])
-    write_file(path, b"\n".join(lines) + b"\n")
+    from binascii import b2a_hex  # here, so that only a '.bits' write loads binascii
+
+    nbytes = (bs.length + 7) // 8
+    pad = 8 * nbytes - bs.length
+    packed = (bs.value << pad).to_bytes(nbytes, "big")
+    nibbles = bytearray(4 * nbytes)
+    for j, table in enumerate(_PAIR_NIBBLES):
+        nibbles[j::4] = packed.translate(table)
+    text = b2a_hex(nibbles, b"\n", -32)  # a newline after every 32 bytes: 64-digit lines
+    del packed, nibbles  # a smaller peak while the file's bytes are joined
+    # The last line holds 8 to 64 digits, so cutting the pad (at most 7) leaves it whole.
+    write_file(path, b"".join((memoryview(text)[: len(text) - pad], b"\n")))
 
 
-# A file of digits and '\n' alone, as written above, decodes from its bytes.
-# Anything else is decoded as UTF-8 text with universal newlines, exactly as
-# Path.read_text would, and parsed by from_text, which skips any other
-# whitespace and names the first bad character at its text offset.
+# A file of digits and '\n' alone, as written above, decodes with one int()
+# call, which rejects any other byte.  int() also takes outer whitespace, a
+# sign, a '0b' prefix and single '_'s, so the digits go to it only when they
+# start and end with a digit, hold no '_', and have no 'b' or 'B' second.
+# Anything else, or what int() rejects, is decoded as UTF-8 text with
+# universal newlines, exactly as Path.read_text would, and parsed by
+# from_text, which skips any other whitespace and names the first bad
+# character at its text offset.
 def read_bits_file(path: "str | os.PathLike[str]") -> BitString:
     raw = read_file(path)
     digits = raw.replace(b"\n", b"")
-    if not digits.translate(None, b"01"):
-        return BitString(int(digits or b"0", 2), len(digits))
+    if (digits[:1] in (b"0", b"1") and digits[-1:] in (b"0", b"1")
+            and digits[1:2] not in (b"b", b"B") and b"_" not in digits):
+        try:
+            value = int(digits, 2)
+        except ValueError:
+            pass
+        else:
+            return BitString(value, len(digits))
     try:
         return from_text(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except UnicodeDecodeError as exc:

@@ -350,9 +350,9 @@ class TestFileCodecs:
 
 # Byte strings that trip decoders: non-UTF-8 lead and continuation bytes,
 # whitespace and line breaks outside ASCII, characters int() would accept as
-# digits or signs, and NUL.
+# digits, signs, prefixes or outer whitespace, and NUL.
 TRICKY_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xc2\xa0", "\u2028".encode(), "\u0663".encode(),
-                b"_", b"+", b"0b", b" ", b"\t", b"\r\n", b"\x00"]
+                b"_", b"+", b"-", b"0b", b"0B", b" ", b"\t", b"\x0b", b"\x0c", b"\r\n", b"\x00"]
 U32_EDGES = [0, 1, 7, 8, 9, 2**31, 2**32 - 1]
 
 
@@ -403,7 +403,9 @@ class TestFeatureFileFuzz:
 
 # Other line ends, a BOM, whitespace outside ASCII, a bad character and a
 # byte that is not UTF-8 take the reader's text path; the empty and the
-# newline-only files are the byte path's edges.
+# newline-only files are the byte path's edges.  The syntax int() takes
+# beyond digits (a '0b' prefix, a sign, outer whitespace, '_') must be
+# refused as the text path refuses it.
 EXOTIC_BITS_FILES = {
     "crlf": b"0110\r\n1001\r\n",
     "lone-cr": b"0110\r1001\r",
@@ -417,6 +419,16 @@ EXOTIC_BITS_FILES = {
     "empty": b"",
     "newlines-only": b"\n\n",
     "bad-char": b"10102\n",
+    "prefix-0b": b"0b0110\n",
+    "prefix-0B": b"0B0110\n",
+    "plus": b"+0110\n",
+    "minus": b"-0110\n",
+    "space-first": b" 0110\n",
+    "space-last": b"0110 \n",
+    "underscore": b"01_10\n",
+    "nul": b"01\x0010\n",
+    "one-digit": b"1\n",
+    "0b-alone": b"0b\n",
 }
 
 
@@ -461,6 +473,14 @@ class TestBitsCodecAgainstOracle:
 
     def test_large_writer_matches_oracle(self, tmp_path):
         bs = random_bits(262_140, 19)
+        path = tmp_path / "large.bits"
+        write_bits_file(path, bs)
+        assert path.read_bytes() == oracle_bits_file_text(bs).encode("ascii")
+        self.assert_reads_as_oracle(path)
+
+    def test_writer_past_16k_lines_matches_oracle(self, tmp_path):
+        # 2^20 + 3 bits: 16384 whole lines, a 3-digit last line, and 5 pad bits in the last byte.
+        bs = random_bits(2**20 + 3, 19)
         path = tmp_path / "large.bits"
         write_bits_file(path, bs)
         assert path.read_bytes() == oracle_bits_file_text(bs).encode("ascii")

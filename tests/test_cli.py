@@ -798,6 +798,25 @@ class TestParserReuse:
         # The error path imports pathlib for the name, and names the file as before.
         assert proc.stderr == "blokit: error: [Errno 2] No such file or directory: 'missing.blo'\n"
 
+    def test_fbin_enroll_and_match_load_neither_hashlib_nor_binascii(self, tmp_path):
+        # hashlib serves only seeded draws, binascii only the '.bits' writer.
+        write_feature(tmp_path / "f.fbin", read_feature(GEN_1795_SEED7_BITS))
+        code = (
+            "import sys\n"
+            "from blokit import cli\n"
+            "for argv in (['enroll', '--in', 'f.fbin', '--block-size', '5', '--out', 't.blo'],\n"
+            "             ['match', '--template', 't.blo', '--probe', 'f.fbin']):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "print('hashlib' in sys.modules, 'binascii' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
+                              env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "blocks\t359\ntemplate_bits\t1436\npreimages\t2^359\n1.000000\nFalse False\n"
+        )
+
     def test_plain_argv_builds_no_parser_in_a_fresh_process(self):
         code = (
             "import argparse, sys\n"
