@@ -49,6 +49,7 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 # _PAIR_NIBBLES[j] maps a byte to the byte whose two hex digits are its bits
 # 2j and 2j + 1, counted from the most significant: 0x00, 0x01, 0x10 or 0x11.
+# Over bytes 0-255 that pair holds each value for 4^(3-j) bytes in turn.
 _PAIR_NIBBLES = [
     b"".join(bytes((d,)) * (64 >> 2 * j) for d in b"\x00\x01\x10\x11") * (1 << 2 * j)
     for j in range(4)
