@@ -32,7 +32,7 @@ from .transform import TransformParams, invert_value, transform, transform_value
 
 CENSUS_MAX_BITS = 24
 
-RECOVERY_CHUNK_BITS = 1 << 16
+RECOVERY_CHUNK_BITS = 1 << 12
 
 _KEYED_BASELINE_NOTE = "per-device XOR mask; synthetic control, not part of the analyzed scheme"
 

@@ -9,7 +9,10 @@ Conventions used everywhere in this package:
   written as bytes, in 64-digit lines each ending in '\n'.  The writer
   packs the value MSB-first, spreads each bit pair of a packed byte into
   one byte whose two hex digits are those bits, and prints them with
-  ``binascii.b2a_hex`` and a newline after every 64 digits.  The reader
+  ``binascii.b2a_hex`` and a newline after every 64 digits.  It does so
+  ``BITS_WRITE_CHUNK`` packed bytes at a time, a run of whole lines, and
+  hands each chunk to ``write_fd`` as it is printed, so it holds the
+  packed bytes and one chunk's text, never the whole file.  The reader
   lets ``int(digits, 2)`` do the check: digits and '\n' alone decode
   straight from the bytes, and only other input is decoded as UTF-8
   text, to skip other whitespace or to name a fault.
@@ -23,8 +26,10 @@ Conventions used everywhere in this package:
 - Randomness comes from ``random.Random`` (Mersenne Twister).  The
   generator for a draw is seeded with the SHA-256 digest of the 64-bit
   master seed and a stream label, so independent streams split off one
-  seed and every draw is reproducible across runs and platforms.
-  ``hashlib`` is loaded by the first seeded draw.
+  seed and every draw is reproducible across runs and platforms.  The
+  first seeded draw loads the interpreter's built-in SHA-256 (``_sha2``,
+  or ``_sha256`` before Python 3.12), and ``hashlib`` only where neither
+  is built; the digest is the same.
 
 All values are immutable after construction; every function here is pure
 and safe for unrestricted concurrent use.
@@ -46,6 +51,11 @@ FBIN_MAGIC = b"FBV1"
 
 # The text codec's ASCII digits -> bit values as bytes.
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+# Packed bytes the '.bits' writer spreads and prints at a time: a multiple of
+# 8, so each chunk is a run of whole 64-digit lines; a 2^18-bit feature fits
+# in one.
+BITS_WRITE_CHUNK = 1 << 15
 
 # _PAIR_NIBBLES[j] maps a byte to the byte whose two hex digits are its bits
 # 2j and 2j + 1, counted from the most significant: 0x00, 0x01, 0x10 or 0x11.
@@ -198,19 +208,28 @@ def hamming_distance(x: BitString, y: BitString) -> int:
 
 def _sha256_seed(seed: int, stream: "int | str") -> int:
     # Frozen: every seeded output in the package depends on this derivation.
-    digest = hashlib.sha256(f"{seed & _SEED_MASK}/{stream}".encode()).digest()
+    digest = _sha256(f"{seed & _SEED_MASK}/{stream}".encode()).digest()
     return int.from_bytes(digest, "big")
 
 
 def _stream_seed(seed: int, stream: "int | str") -> int:
-    """``_sha256_seed``, once ``hashlib`` is loaded; only seeded draws need it.
+    """``_sha256_seed``, once a SHA-256 is loaded; only seeded draws need it.
 
-    The first call imports ``hashlib`` and rebinds this global to
-    ``_sha256_seed``.  Callers look the global up on every call, so each
-    later call goes straight to the real function.
+    The first call imports the interpreter's built-in SHA-256 and rebinds
+    this global to ``_sha256_seed``.  Callers look the global up on every
+    call, so each later call goes straight to the real function.  As in
+    CPython's ``random`` module, the built-in module comes first because
+    ``hashlib`` maps OpenSSL, about 3.5 MiB of the process; the digest is
+    the same.
     """
-    global _stream_seed, hashlib
-    import hashlib
+    global _stream_seed, _sha256
+    try:
+        from _sha2 import sha256 as _sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256 as _sha256  # a build without either
 
     _stream_seed = _sha256_seed
     return _sha256_seed(seed, stream)
@@ -265,21 +284,26 @@ class FeatureVector:
         return self.data.length
 
 
-def write_fd(fd: int, data: bytes) -> None:
+def write_fd(fd: int, data: "bytes | Iterable[bytes]") -> None:
     """Write ``data`` as the whole content of the file open at ``fd``, in place; close ``fd``.
 
-    The file must not be opened with O_TRUNC: cutting a non-empty file to
-    zero and closing it makes some filesystems (ext4's replace-via-truncate
-    heuristic) start writeback at once, which costs far more than the write.
+    ``data`` is bytes, or an iterable of byte chunks written in turn, so a
+    writer can make each chunk only when it is written.  The file must not
+    be opened with O_TRUNC: cutting a non-empty file to zero and closing it
+    makes some filesystems (ext4's replace-via-truncate heuristic) start
+    writeback at once, which costs far more than the write.
     """
     try:
-        view = memoryview(data)
-        while view:  # a write above about 2 GiB comes back short
-            view = view[os.write(fd, view) :]
+        size = 0
+        for chunk in (data,) if isinstance(data, bytes) else data:
+            view = memoryview(chunk)
+            size += len(view)
+            while view:  # a write above about 2 GiB comes back short
+                view = view[os.write(fd, view) :]
         st = os.fstat(fd)
         # Only a regular file that was longer; never /dev/null or a FIFO.
-        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
-            os.ftruncate(fd, len(data))
+        if stat.S_ISREG(st.st_mode) and st.st_size > size:
+            os.ftruncate(fd, size)
     finally:
         os.close(fd)
 
@@ -290,7 +314,7 @@ def path_name(path: "str | os.PathLike[str]") -> str:
     return str(Path(path))
 
 
-def write_file(path: "str | os.PathLike[str]", data: bytes) -> None:
+def write_file(path: "str | os.PathLike[str]", data: "bytes | Iterable[bytes]") -> None:
     """Write ``data`` as the whole content of ``path`` through ``write_fd``, following links."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -325,18 +349,30 @@ def read_file(path: "str | os.PathLike[str]") -> bytes:
 
 def write_bits_file(path: "str | os.PathLike[str]", bs: BitString) -> None:
     """Write the text codec ('.bits'): '0'/'1' characters in 64-digit lines."""
+    write_file(path, _bits_file_chunks(bs))
+
+
+def _bits_file_chunks(bs: BitString) -> Iterator[bytes]:
+    """The '.bits' file's bytes, printed from ``BITS_WRITE_CHUNK`` packed bytes at a time."""
     from binascii import b2a_hex  # here, so that only a '.bits' write loads binascii
 
     nbytes = (bs.length + 7) // 8
     pad = 8 * nbytes - bs.length
     packed = (bs.value << pad).to_bytes(nbytes, "big")
-    nibbles = bytearray(4 * nbytes)
-    for j, table in enumerate(_PAIR_NIBBLES):
-        nibbles[j::4] = packed.translate(table)
-    text = b2a_hex(nibbles, b"\n", -32)  # a newline after every 32 bytes: 64-digit lines
-    del packed, nibbles  # a smaller peak while the file's bytes are joined
-    # The last line holds 8 to 64 digits, so cutting the pad (at most 7) leaves it whole.
-    write_file(path, b"".join((memoryview(text)[: len(text) - pad], b"\n")))
+    size = BITS_WRITE_CHUNK
+    for start in range(0, nbytes, size):
+        chunk = packed[start : start + size]
+        nibbles = bytearray(4 * len(chunk))
+        for j, table in enumerate(_PAIR_NIBBLES):
+            nibbles[j::4] = chunk.translate(table)
+        text = b2a_hex(nibbles, b"\n", -32)  # a newline after every 32 bytes: 64-digit lines
+        # A chunk of whole 8-byte lines ends its last line; only the file's
+        # last line holds pad digits, 8 to 64 of them, so cutting the pad
+        # (at most 7) leaves it whole.
+        cut = pad if start + size >= nbytes else 0
+        yield b"".join((memoryview(text)[: len(text) - cut], b"\n"))
+    if not nbytes:
+        yield b"\n"  # the empty string is one empty line
 
 
 # A file of digits and '\n' alone, as written above, decodes with one int()

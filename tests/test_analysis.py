@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -212,6 +213,16 @@ class TestRecoveryAgainstOracle:
         assert bits > analysis.RECOVERY_CHUNK_BITS
         report = recovery_probability(bits, 5, trials=3, seed=seed)
         assert report.findings["successes"] == oracle_recovery_successes(bits, 5, 3, seed)
+
+    def test_memory_stays_within_a_chunk(self):
+        # 20,000 trials of 10 bits would hold about 2 MiB in one chunk of 2^16 bits.
+        tracemalloc.start()
+        try:
+            recovery_probability(10, 5, trials=20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
     @pytest.mark.parametrize("chunk_bits", [1, 10, 25, 64])
     def test_small_chunks(self, monkeypatch, chunk_bits):

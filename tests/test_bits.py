@@ -3,6 +3,8 @@ import os
 from pathlib import Path
 import random
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 
@@ -25,6 +27,7 @@ from blokit import (
     to_text,
     unpack,
 )
+from blokit import bits
 from blokit.bits import (
     FBIN_MAGIC,
     path_name,
@@ -46,6 +49,7 @@ from conftest import (
     oracle_bits_file_text,
     oracle_read_bits_file,
 )
+from parser_reuse import SRC
 
 
 class TestFromText:
@@ -267,6 +271,25 @@ class TestRandomBits:
             label = f"{seed % (1 << 64)}/{stream}".encode()
             frozen = random.Random(int.from_bytes(hashlib.sha256(label).digest(), "big"))
             assert drawn[0] == frozen.getrandbits(widths[0])
+
+    def test_without_a_built_in_sha256_draws_fall_back_to_hashlib(self):
+        seed, streams, widths = 1 << 70, [0, 7, "trial/3", "selector"], (1, 64, 300)
+        code = (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None  # as if neither were built\n"
+            "from blokit.bits import stream_draws\n"
+            f"print(stream_draws({seed}, {streams!r}, {widths!r}))\n"
+            "print('hashlib' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        frozen = []
+        for stream in streams:
+            label = f"{seed % (1 << 64)}/{stream}".encode()
+            rng = random.Random(int.from_bytes(hashlib.sha256(label).digest(), "big"))
+            frozen.append(tuple(rng.getrandbits(w) for w in widths))
+        assert proc.stdout == f"{frozen}\nTrue\n"
 
 
 class TestBitStringBasics:
@@ -498,6 +521,42 @@ class TestBitsCodecAgainstOracle:
         path = tmp_path / "x.bits"
         path.write_bytes(raw)
         self.assert_reads_as_oracle(path)
+
+
+class TestStreamedBitsWriter:
+    """The '.bits' writer prints BITS_WRITE_CHUNK packed bytes at a time; small chunks here."""
+
+    @pytest.fixture(params=[8, 16, 24, 40])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(bits, "BITS_WRITE_CHUNK", request.param)
+        return request.param
+
+    def test_writer_matches_oracle(self, tmp_path, chunk):
+        step = 8 * chunk  # bits per chunk
+        boundaries = [k * step + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+        path = tmp_path / "w.bits"
+        for length in [0, 1, 63, 64, 65, *boundaries, 2**20 + 3]:
+            bs = BitString(stream_rng(length, chunk).getrandbits(length), length)
+            write_bits_file(path, bs)
+            assert path.read_bytes() == oracle_bits_file_text(bs).encode("ascii"), length
+        write_bits_file(path, BitString(0, 0))
+        assert path.read_bytes() == b"\n"
+
+    def test_multi_chunk_write_shrinks_a_longer_file_in_place(self, tmp_path, monkeypatch, chunk):
+        cuts = []
+        ftruncate = os.ftruncate
+        monkeypatch.setattr(os, "ftruncate", lambda fd, size: cuts.append(size) or ftruncate(fd, size))
+        path = tmp_path / "f.bits"
+        path.write_bytes(b"x" * 100_000)
+        inode = path.stat().st_ino
+        bs = random_bits(5 * 8 * chunk + 3, chunk)
+        expected = oracle_bits_file_text(bs).encode("ascii")
+        write_bits_file(path, bs)
+        assert path.read_bytes() == expected
+        assert path.stat().st_ino == inode
+        assert cuts == [len(expected)]
+        write_bits_file(os.devnull, bs)
+        assert cuts == [len(expected)]
 
 
 class TestWriteFile:

@@ -1,5 +1,6 @@
 import argparse
 import errno
+import importlib.util
 import io
 import os
 import shlex
@@ -798,8 +799,36 @@ class TestParserReuse:
         # The error path imports pathlib for the name, and names the file as before.
         assert proc.stderr == "blokit: error: [Errno 2] No such file or directory: 'missing.blo'\n"
 
+    @pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                        reason="this Python has no built-in SHA-256 module")
+    def test_seeded_draws_load_neither_hashlib_nor_openssl(self, tmp_path):
+        # Seeded draws hash with the interpreter's built-in SHA-256.
+        code = (
+            "import sys\n"
+            "from blokit import cli\n"
+            "for argv in (['gen', '--bits', '1795', '--seed', '7', '--out', 'f.bits'],\n"
+            "             ['enroll', '--in', 'f.bits', '--block-size', '5', '--out', 't.blo'],\n"
+            "             ['attack', 'preimage', '--template', 't.blo', '--random', '--seed', '9',\n"
+            "              '--out', 'forged.bits']):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "print('hashlib' in sys.modules, '_hashlib' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
+                              env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        forged = tmp_path / "expected.bits"
+        attack = ok(["attack", "preimage", "--template", str(tmp_path / "t.blo"), "--random",
+                     "--seed", "9", "--out", str(forged)])
+        assert proc.stdout == (
+            f"blocks\t359\ntemplate_bits\t1436\npreimages\t2^359\n{attack.stdout}False False\n"
+        )
+        assert (tmp_path / "f.bits").read_bytes() == GEN_1795_SEED7_BITS.read_bytes()
+        assert (tmp_path / "forged.bits").read_bytes() == forged.read_bytes()
+
     def test_fbin_enroll_and_match_load_neither_hashlib_nor_binascii(self, tmp_path):
-        # hashlib serves only seeded draws, binascii only the '.bits' writer.
+        # Only a seeded draw loads a SHA-256 (hashlib only on a Python without
+        # a built-in one), and only the '.bits' writer loads binascii.
         write_feature(tmp_path / "f.fbin", read_feature(GEN_1795_SEED7_BITS))
         code = (
             "import sys\n"
