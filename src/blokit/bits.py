@@ -349,18 +349,17 @@ def read_file(path: "str | os.PathLike[str]") -> bytes:
 
 def write_bits_file(path: "str | os.PathLike[str]", bs: BitString) -> None:
     """Write the text codec ('.bits'): '0'/'1' characters in 64-digit lines."""
-    write_file(path, _bits_file_chunks(bs))
+    # Packed before the file is opened, so that a value too large to pack
+    # leaves the file as it was.
+    write_file(path, _bits_file_chunks(bs.pack(), -bs.length % 8))
 
 
-def _bits_file_chunks(bs: BitString) -> Iterator[bytes]:
-    """The '.bits' file's bytes, printed from ``BITS_WRITE_CHUNK`` packed bytes at a time."""
+def _bits_file_chunks(packed: bytes, pad: int) -> Iterator[bytes]:
+    """The '.bits' file of ``packed`` less its last ``pad`` bits, in chunks of whole lines."""
     from binascii import b2a_hex  # here, so that only a '.bits' write loads binascii
 
-    nbytes = (bs.length + 7) // 8
-    pad = 8 * nbytes - bs.length
-    packed = (bs.value << pad).to_bytes(nbytes, "big")
     size = BITS_WRITE_CHUNK
-    for start in range(0, nbytes, size):
+    for start in range(0, len(packed), size):
         chunk = packed[start : start + size]
         nibbles = bytearray(4 * len(chunk))
         for j, table in enumerate(_PAIR_NIBBLES):
@@ -369,9 +368,9 @@ def _bits_file_chunks(bs: BitString) -> Iterator[bytes]:
         # A chunk of whole 8-byte lines ends its last line; only the file's
         # last line holds pad digits, 8 to 64 of them, so cutting the pad
         # (at most 7) leaves it whole.
-        cut = pad if start + size >= nbytes else 0
+        cut = pad if start + size >= len(packed) else 0
         yield b"".join((memoryview(text)[: len(text) - cut], b"\n"))
-    if not nbytes:
+    if not packed:
         yield b"\n"  # the empty string is one empty line
 
 

@@ -585,6 +585,19 @@ class TestWriteFile:
         assert first.read_bytes() == second.read_bytes() == b"0110\n"
         assert first.stat().st_nlink == 2
 
+    def test_a_value_that_cannot_be_packed_leaves_the_file_as_it_was(self, tmp_path):
+        class Unpackable(int):
+            def __lshift__(self, shift):  # where packing a huge value runs out of memory
+                raise MemoryError
+
+        old, new = tmp_path / "old.bits", tmp_path / "new.bits"
+        old.write_bytes(b"0110\n")
+        for path in (old, new):
+            with pytest.raises(MemoryError):
+                write_bits_file(path, BitString(Unpackable(5), 100))
+        assert old.read_bytes() == b"0110\n"
+        assert not new.exists()
+
     def test_dev_null_is_a_target(self):
         write_bits_file(os.devnull, random_bits(100, 1))
         write_file(os.devnull, b"")
