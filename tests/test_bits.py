@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -455,25 +456,25 @@ EXOTIC_BITS_FILES = {
 }
 
 
+def assert_reads_as_oracle(path):
+    """read_bits_file gives the oracle's BitString, or its error with the path in front."""
+    try:
+        expected = oracle_read_bits_file(path)
+    except UnicodeDecodeError as exc:
+        message = f"{path}: not UTF-8 text (byte {exc.start})"
+    except MalformedInputError as exc:
+        message = f"{path}: {exc}"
+    else:
+        assert read_bits_file(path) == expected
+        return
+    with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+        read_bits_file(path)
+
+
 class TestBitsCodecAgainstOracle:
     @pytest.fixture(scope="class")
     def codec_dir(self, tmp_path_factory):
         return tmp_path_factory.mktemp("codec")
-
-    @staticmethod
-    def assert_reads_as_oracle(path):
-        """read_bits_file gives the oracle's BitString, or its error with the path in front."""
-        try:
-            expected = oracle_read_bits_file(path)
-        except UnicodeDecodeError as exc:
-            message = f"{path}: not UTF-8 text (byte {exc.start})"
-        except MalformedInputError as exc:
-            message = f"{path}: {exc}"
-        else:
-            assert read_bits_file(path) == expected
-            return
-        with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
-            read_bits_file(path)
 
     @settings(max_examples=300, deadline=None)
     @given(bs=bit_strings(max_length=300))
@@ -499,7 +500,7 @@ class TestBitsCodecAgainstOracle:
         path = tmp_path / "large.bits"
         write_bits_file(path, bs)
         assert path.read_bytes() == oracle_bits_file_text(bs).encode("ascii")
-        self.assert_reads_as_oracle(path)
+        assert_reads_as_oracle(path)
 
     def test_writer_past_16k_lines_matches_oracle(self, tmp_path):
         # 2^20 + 3 bits: 16384 whole lines, a 3-digit last line, and 5 pad bits in the last byte.
@@ -507,29 +508,31 @@ class TestBitsCodecAgainstOracle:
         path = tmp_path / "large.bits"
         write_bits_file(path, bs)
         assert path.read_bytes() == oracle_bits_file_text(bs).encode("ascii")
-        self.assert_reads_as_oracle(path)
+        assert_reads_as_oracle(path)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_mutations_read_as_oracle(self, codec_dir, data):
         path = codec_dir / "m.bits"
         path.write_bytes(data.draw(mutated_feature_file(".bits")))
-        self.assert_reads_as_oracle(path)
+        assert_reads_as_oracle(path)
 
     @pytest.mark.parametrize("raw", EXOTIC_BITS_FILES.values(), ids=EXOTIC_BITS_FILES.keys())
     def test_exotic_input_reads_as_oracle(self, tmp_path, raw):
         path = tmp_path / "x.bits"
         path.write_bytes(raw)
-        self.assert_reads_as_oracle(path)
+        assert_reads_as_oracle(path)
+
+
+@pytest.fixture(params=[8, 16, 24, 40])
+def chunk(request, monkeypatch):
+    """BITS_CHUNK cut to a few lines, so that small files span many chunks."""
+    monkeypatch.setattr(bits, "BITS_CHUNK", request.param)
+    return request.param
 
 
 class TestStreamedBitsWriter:
-    """The '.bits' writer prints BITS_WRITE_CHUNK packed bytes at a time; small chunks here."""
-
-    @pytest.fixture(params=[8, 16, 24, 40])
-    def chunk(self, request, monkeypatch):
-        monkeypatch.setattr(bits, "BITS_WRITE_CHUNK", request.param)
-        return request.param
+    """The '.bits' writer prints BITS_CHUNK packed bytes at a time; small chunks here."""
 
     def test_writer_matches_oracle(self, tmp_path, chunk):
         step = 8 * chunk  # bits per chunk
@@ -557,6 +560,96 @@ class TestStreamedBitsWriter:
         assert cuts == [len(expected)]
         write_bits_file(os.devnull, bs)
         assert cuts == [len(expected)]
+
+
+# Bytes int() takes beyond digits, or that end the fast path: each goes at a
+# chunk's first, second and last byte.  '0b' and '0B' put 'b' second.
+ODD_BITS_BYTES = [b"_", b"0b", b"0B", b"+", b"-", b" ", b"2", b"\xff"]
+
+
+class TestChunkedBitsReader:
+    """The '.bits' reader decodes BITS_CHUNK // 8 lines at a time; small chunks here."""
+
+    def test_digit_counts_at_chunk_boundaries(self, tmp_path, chunk):
+        step = 8 * chunk  # digits per chunk
+        boundaries = [k * step + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+        path = tmp_path / "r.bits"
+        for length in [1, 7, 8, 9, 63, 64, 65, *boundaries, 2**16 + 3]:
+            bs = BitString(stream_rng(length, chunk).getrandbits(length), length)
+            write_bits_file(path, bs)
+            assert read_bits_file(path) == bs == oracle_read_bits_file(path), length
+
+    @pytest.mark.parametrize("wrap", [1, 7, 9, 63, 65, 100, 0])
+    def test_other_line_widths_carry_digits_across_chunks(self, tmp_path, chunk, wrap):
+        path = tmp_path / "r.bits"
+        for length in [1, 8 * chunk - 1, 8 * chunk + 1, 24 * chunk + 5]:
+            bs = BitString(stream_rng(length, wrap).getrandbits(length), length)
+            path.write_bytes(oracle_bits_file_text(bs, wrap).encode("ascii"))
+            assert read_bits_file(path) == bs == oracle_read_bits_file(path), length
+
+    def test_newlines_alone_and_blank_chunks(self, tmp_path, chunk):
+        size = chunk // 8 * 65
+        path = tmp_path / "r.bits"
+        for raw in [b"\n" * (3 * size), b"\n" * (2 * size) + b"0110\n",
+                    b"01" + b"\n" * (2 * size) + b"101\n", b"0110" + b"\n" * (3 * size)]:
+            path.write_bytes(raw)
+            assert_reads_as_oracle(path)
+
+    def test_crlf_line_ends(self, tmp_path, chunk):
+        text = oracle_bits_file_text(random_bits(24 * chunk + 5, chunk)).encode("ascii")
+        size = chunk // 8 * 65
+        path = tmp_path / "r.bits"
+        for raw in [text.replace(b"\n", b"\r\n"), text[:size] + text[size:].replace(b"\n", b"\r\n"),
+                    text[:-1] + b"\r\n"]:
+            path.write_bytes(raw)
+            assert_reads_as_oracle(path)
+
+    @pytest.mark.parametrize("odd", ODD_BITS_BYTES, ids=repr)
+    def test_odd_bytes_at_chunk_edges(self, tmp_path, chunk, odd):
+        text = oracle_bits_file_text(random_bits(24 * chunk + 13, chunk)).encode("ascii")
+        size = chunk // 8 * 65  # three whole chunks, then 13 digits
+        path = tmp_path / "r.bits"
+        for start in range(0, len(text), size):
+            end = min(start + size, len(text))
+            # The first and second byte, the last digit and the newline after it.
+            for at in (start, start + 1, end - 2, end - 1):
+                path.write_bytes(text[:at] + odd + text[at + len(odd) :])
+                assert_reads_as_oracle(path)
+
+
+class TestCodecMemory:
+    """The '.bits' codec's traced peak on a 2^18-bit feature: a 260 KiB file, a 32 KiB value."""
+
+    @staticmethod
+    def peak_kib(call, *args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call(*args)
+            return (tracemalloc.get_traced_memory()[1] - base) / 1024
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def feature(self, tmp_path_factory):
+        bs = random_bits(2**18, 23)
+        path = tmp_path_factory.mktemp("memory") / "m.bits"
+        write_bits_file(path, bs)
+        return path, bs
+
+    def test_writer_holds_one_chunk_of_text(self, feature):
+        # Printing the whole file at once holds its 128 KiB spread, 260 KiB
+        # of text and a joined copy: about 680 KiB.  One chunk at a time
+        # holds the 32 KiB packed value and one chunk's 33 KiB of text and
+        # copies: about 150 KiB.  The bound sits about halfway.
+        assert self.peak_kib(write_bits_file, *feature) < 400
+
+    def test_reader_holds_the_file_and_one_chunk_of_digits(self, feature):
+        # The reader holds the 260 KiB file either way.  A newline-free copy
+        # of the whole file beside it makes about 550 KiB; a chunk of digits
+        # at a time, the bytes made from them and the value, about 400 KiB.
+        # The bound sits about halfway.
+        assert self.peak_kib(read_bits_file, feature[0]) < 475
 
 
 class TestWriteFile:
