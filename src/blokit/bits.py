@@ -416,7 +416,7 @@ def _digits_value(digits: bytes) -> "int | None":
 
 
 def _decode_chunks(raw: bytes, size: int) -> "BitString | None":
-    """The digits of ``raw`` decoded ``size`` file bytes at a time, if it holds digits and '\n' alone.
+    """``raw`` decoded ``size`` file bytes at a time, if it holds digits and '\n' alone.
 
     Each chunk's digits but the file's last go to bytes whole: the fewer
     than 8 left over lead the next chunk.  The last chunk's digits fill its
