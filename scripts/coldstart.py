@@ -14,15 +14,20 @@ each command's time minus the bare interpreter's: blokit's own share.
 ``--src`` names the directory blokit is imported from (default: this
 checkout's ``src``), so two checkouts can be compared with one script.
 The environment is passed on unchanged; with ``PYTHONDONTWRITEBYTECODE=1``
-every process compiles blokit from source.  Unix only (``resource``).
+every process compiles blokit from source, unless an up-to-date ``.pyc``
+is there to read.  The header line names the case: read from
+``__pycache__``, compiled from source in every process, or written by the
+first run.  Unix only (``resource``).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import resource
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -67,11 +72,42 @@ def timed(argv: "list[str]", env: "dict[str, str]", code: int, stdout: str) -> f
     return spent
 
 
+def fresh_pyc(py: Path) -> bool:
+    """Whether imports read ``py``'s cached bytecode: a timestamp ``.pyc`` matching the source."""
+    try:
+        with open(importlib.util.cache_from_source(py), "rb") as f:
+            head = f.read(16)
+    except OSError:
+        return False
+    st = py.stat()
+    stamp = struct.pack("<4xII", int(st.st_mtime) & 0xFFFFFFFF, st.st_size & 0xFFFFFFFF)
+    return head == importlib.util.MAGIC_NUMBER + stamp
+
+
+def bytecode_case(src: Path, env: "dict[str, str]") -> str:
+    """How the runs get blokit's bytecode, as found before the first run.
+
+    The children take the environment, not this process's ``-B`` flag, so
+    ``PYTHONDONTWRITEBYTECODE`` decides whether they write ``.pyc`` files.
+    A stale ``.pyc`` is not read, so it counts as none.
+    """
+    modules = sorted((src / "blokit").glob("*.py"))
+    cached = sum(map(fresh_pyc, modules))
+    rest = ("compiled from source in every process" if env.get("PYTHONDONTWRITEBYTECODE")
+            else "written by the first run")
+    if cached == len(modules):
+        return "read from __pycache__"
+    if cached:
+        return f"read from __pycache__ for {cached} of {len(modules)} modules, else {rest}"
+    return rest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=SRC, help="directory blokit is imported from")
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
+    bytecode = bytecode_case(args.src, env)
     times: "dict[str, list[float]]" = {}
     with tempfile.TemporaryDirectory() as tmp:
         cases = [BARE, *commands(Path(tmp))]
@@ -81,7 +117,8 @@ def main(argv=None) -> int:
     bare = times[BARE[0]]
     own = {label: [t - b for t, b in zip(ts, bare)] for label, ts in times.items() if label != BARE[0]}
     own["all five"] = [sum(run) for run in zip(*own.values())]
-    print(f"# {RUNS} runs, python {sys.version.split()[0]}, blokit from {args.src}")
+    print(f"# {RUNS} runs, python {sys.version.split()[0]}, blokit from {args.src}, "
+          f"bytecode {bytecode}")
     print("command\tcpu_ms\tblokit_ms")
     for label, ts in times.items():
         share = f"{statistics.median(own[label]) * 1e3:.1f}" if label in own else "-"

@@ -9,15 +9,16 @@ Conventions used everywhere in this package:
   written as bytes, in 64-digit lines each ending in '\n'.  The writer
   packs the value MSB-first, spreads each bit pair of a packed byte into
   one byte whose two hex digits are those bits, and prints them with
-  ``binascii.b2a_hex`` and a newline after every 64 digits.  Both
-  directions work ``BITS_CHUNK`` packed bytes at a time, a run of whole
-  lines: the writer hands each chunk to ``write_fd`` as it is printed, so
-  it holds the packed bytes and one chunk's text, never the whole file;
-  the reader holds the file and one chunk of its digits, never a
-  newline-free copy of the whole.  The reader lets ``int(digits, 2)`` do
-  the check: digits and '\n' alone decode straight from the bytes, and
-  only other input is decoded as UTF-8 text, to skip other whitespace or
-  to name a fault.
+  ``binascii.b2a_hex`` and a newline after every 64 digits.  Each
+  direction is one loop over ``BITS_CHUNK`` packed bytes at a time, a run
+  of whole lines, for a file of any size: the writer hands each chunk to
+  ``write_fd`` as it is printed, so it holds the packed bytes and one
+  chunk's text, never the whole file; the reader holds the file and one
+  chunk of its digits, never a newline-free copy of the whole, and joins
+  the last chunk's value below the earlier chunks' bytes.  The reader lets
+  ``int(digits, 2)`` do the check: digits and '\n' alone decode straight
+  from the bytes, and only other input is decoded as UTF-8 text, to skip
+  other whitespace or to name a fault.
 - Every error names a file as ``path_name`` does: ``t.blo`` for ``./t.blo``.
 - Every file this package writes goes through ``write_fd``, which
   replaces an existing file's content in place: the file keeps its inode
@@ -362,7 +363,8 @@ def _bits_file_chunks(packed: bytes, pad: int) -> Iterator[bytes]:
     from binascii import b2a_hex  # here, so that only a '.bits' write loads binascii
 
     size = BITS_CHUNK
-    for start in range(0, len(packed), size):
+    # A value of no bits is one chunk of no bytes, printed as one empty line.
+    for start in range(0, len(packed) or 1, size):
         chunk = packed[start : start + size]
         nibbles = bytearray(4 * len(chunk))
         for j, table in enumerate(_PAIR_NIBBLES):
@@ -373,8 +375,6 @@ def _bits_file_chunks(packed: bytes, pad: int) -> Iterator[bytes]:
         # (at most 7) leaves it whole.
         cut = pad if start + size >= len(packed) else 0
         yield b"".join((memoryview(text)[: len(text) - cut], b"\n"))
-    if not packed:
-        yield b"\n"  # the empty string is one empty line
 
 
 # A file of digits and '\n' alone, as written above, decodes through int(),
@@ -384,58 +384,35 @@ def _bits_file_chunks(packed: bytes, pad: int) -> Iterator[bytes]:
 # else, or what int() rejects, is decoded as UTF-8 text with universal
 # newlines, exactly as Path.read_text would, and parsed by from_text, which
 # skips any other whitespace and names the first bad character at its text
-# offset.
+# offset.  One loop decodes every file a chunk of lines at a time: each chunk
+# but the last turns its digits to bytes, less the fewer than 8 left over,
+# which lead the next; the last chunk's value joins below those bytes.
 def read_bits_file(path: "str | os.PathLike[str]") -> BitString:
     raw = read_file(path)
     size = BITS_CHUNK // 8 * 65  # file bytes in a chunk: whole 64-digit lines and their newlines
-    if len(raw) <= size:  # one chunk: one int() call
-        digits = raw.replace(b"\n", b"")
-        value = _digits_value(digits)
-        bs = None if value is None else BitString(value, len(digits))
-    else:
-        bs = _decode_chunks(raw, size)
-    if bs is not None:
-        return bs
+    parts, carry, length = [], b"", 0
+    for start in range(0, len(raw), size):
+        digits = carry + raw[start : start + size].replace(b"\n", b"")
+        last = start + size >= len(raw)
+        keep = len(digits) if last else len(digits) & -8
+        digits, carry = digits[:keep], digits[keep:]
+        if digits and not (digits[:1] in (b"0", b"1") and digits[-1:] in (b"0", b"1")
+                           and digits[1:2] not in (b"b", b"B") and b"_" not in digits):
+            break
+        try:
+            value = int(digits or b"0", 2)
+        except ValueError:
+            break
+        if last:
+            return BitString(int.from_bytes(b"".join(parts), "big") << keep | value, length + keep)
+        parts.append(value.to_bytes(keep // 8, "big"))
+        length += keep
     try:
         return from_text(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"{path_name(path)}: not UTF-8 text (byte {exc.start})") from exc
     except MalformedInputError as exc:
         raise MalformedInputError(f"{path_name(path)}: {exc}") from exc
-
-
-def _digits_value(digits: bytes) -> "int | None":
-    """``int(digits, 2)`` behind the guards above; None for anything but '0'/'1' bytes."""
-    if (digits[:1] in (b"0", b"1") and digits[-1:] in (b"0", b"1")
-            and digits[1:2] not in (b"b", b"B") and b"_" not in digits):
-        try:
-            return int(digits, 2)
-        except ValueError:
-            pass
-    return None
-
-
-def _decode_chunks(raw: bytes, size: int) -> "BitString | None":
-    """``raw`` decoded ``size`` file bytes at a time, if it holds digits and '\n' alone.
-
-    Each chunk's digits but the file's last go to bytes whole: the fewer
-    than 8 left over lead the next chunk.  The last chunk's digits fill its
-    bytes from the top, and one shift drops that pad from the value.
-    """
-    parts, carry, length, pad = [], b"", 0, 0
-    for start in range(0, len(raw), size):
-        digits = carry + raw[start : start + size].replace(b"\n", b"")
-        keep = len(digits) if start + size >= len(raw) else len(digits) & -8
-        digits, carry = digits[:keep], digits[keep:]
-        if not digits:
-            continue
-        value = _digits_value(digits)
-        if value is None:
-            return None
-        length += keep
-        pad = -keep % 8  # 0 but in the last chunk
-        parts.append((value << pad).to_bytes((keep + pad) // 8, "big"))
-    return BitString(int.from_bytes(b"".join(parts), "big") >> pad, length) if parts else None
 
 
 def write_fbin_file(path: "str | os.PathLike[str]", bs: BitString) -> None:

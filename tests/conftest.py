@@ -51,11 +51,6 @@ def bit_strings(draw, min_length=0, max_length=64):
     return BitString(value, length)
 
 
-@st.composite
-def feature_vectors(draw, min_length=1, max_length=64):
-    return FeatureVector(draw(bit_strings(min_length, max_length)))
-
-
 odd_block_sizes = st.sampled_from([3, 5, 7, 9])
 
 every_odd_block_size = st.sampled_from(range(3, 18, 2))

@@ -485,7 +485,7 @@ class TestBitsCodecAgainstOracle:
         assert path.read_bytes() == oracle_bits_file_text(bs).encode("ascii")
         assert read_bits_file(path) == bs
 
-    @pytest.mark.parametrize("lines", [1, 7, 63, 64, 65])
+    @pytest.mark.parametrize("lines", [1, 7, 63, 64, 65, 511, 512, 513])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_writer_at_line_boundaries(self, tmp_path, lines, offset):
         length = 64 * lines + offset
