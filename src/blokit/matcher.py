@@ -31,7 +31,8 @@ def match_templates(
     """
     if not 0.0 <= threshold <= 1.0:
         raise InvalidArgumentError(f"threshold must lie in [0, 1], got {threshold}")
-    if a.params != b.params:
+    # A store lookup matches against the stored template's own params object.
+    if a.params is not b.params and a.params != b.params:
         raise IncomparableTemplatesError(
             f"parameter mismatch: {a.params} vs {b.params}"
         )

@@ -124,6 +124,8 @@ class TemplateStore:
 
     def __init__(self, root: "str | Path") -> None:
         self.root = Path(root)
+        # Ids hold no '/', so prefix + device/user.blo is os.path.join(root, device, user.blo).
+        self._prefix = os.path.join(self.root, "")
 
     def _require_root(self) -> None:
         if not self.root.is_dir():
@@ -199,7 +201,7 @@ class TemplateStore:
     def load_template(self, device_id: str, user_id: str) -> ProtectedTemplate:
         _check_id("device", device_id)
         _check_id("user", user_id)
-        path = os.path.join(self.root, device_id, f"{user_id}.blo")
+        path = f"{self._prefix}{device_id}/{user_id}.blo"
         try:
             raw = _read_regular(path)
         except (OSError, ValueError) as exc:

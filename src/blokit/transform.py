@@ -257,6 +257,12 @@ def read_template_file(path: "str | os.PathLike[str]") -> ProtectedTemplate:
     return decode_template(read_file(path), path)
 
 
+@functools.lru_cache(maxsize=8)
+def _header_params(block_size: int, policy_byte: int) -> TransformParams:
+    """One shared TransformParams per '.blo' header; an invalid one raises and is not cached."""
+    return TransformParams(block_size, _BYTE_POLICY[policy_byte])
+
+
 def decode_template(raw: bytes, source: "str | os.PathLike[str]") -> ProtectedTemplate:
     """Decode the '.blo' codec; a MalformedInputError names ``source`` through ``path_name``."""
     try:
@@ -267,7 +273,7 @@ def decode_template(raw: bytes, source: "str | os.PathLike[str]") -> ProtectedTe
             raise MalformedInputError(f"unsupported version {version}")
         if policy_byte not in _BYTE_POLICY:
             raise MalformedInputError(f"unknown padding policy byte {policy_byte:#x}")
-        params = TransformParams(block_size, _BYTE_POLICY[policy_byte])
+        params = _header_params(block_size, policy_byte)
         data = BitString.unpack(raw[_BLO_HEADER.size :], data_bits)
         if data_bits % (block_size - 1):
             raise InvalidArgumentError(

@@ -16,6 +16,7 @@ from blokit import (
     transform,
 )
 from blokit.transform import invert_value, transform_value
+from parser_reuse import SRC
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -23,6 +24,14 @@ TABLE_B5_FIXTURE = DATA_DIR / "table_b5.txt"
 
 # `gen --bits 1795 --seed 7 --out f.bits`, as the text-mode writer wrote it on POSIX.
 GEN_1795_SEED7_BITS = DATA_DIR / "gen_1795_seed7.bits"
+
+
+def fresh_env():
+    """The environment of a fresh interpreter that imports blokit from this checkout.
+
+    It writes no bytecode, so no run leaves a ``__pycache__`` under ``src/``.
+    """
+    return {"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def store_state(root):

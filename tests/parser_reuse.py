@@ -97,7 +97,8 @@ def mismatches(workdir: Path) -> "list[str]":
     """
     cases = make_cases(workdir)
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{path}" if path else str(SRC))
+    env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{path}" if path else str(SRC),
+               PYTHONDONTWRITEBYTECODE="1")
     fresh = [fresh_outcome(args, env) for args in cases]
     found = []
 

@@ -47,10 +47,10 @@ from blokit.transform import TransformParams, read_template_file, transform, wri
 
 from conftest import (
     bit_strings,
+    fresh_env,
     oracle_bits_file_text,
     oracle_read_bits_file,
 )
-from parser_reuse import SRC
 
 
 class TestFromText:
@@ -282,7 +282,7 @@ class TestRandomBits:
             f"print(stream_draws({seed}, {streams!r}, {widths!r}))\n"
             "print('hashlib' in sys.modules)\n"
         )
-        proc = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": str(SRC)},
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=fresh_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         frozen = []

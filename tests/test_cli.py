@@ -25,8 +25,8 @@ from blokit import (
 from blokit.bits import read_bits_file, read_feature, write_feature
 from blokit.cli import run
 
-from conftest import DATA_DIR, GEN_1795_SEED7_BITS, TABLE_B5_FIXTURE, store_state
-from parser_reuse import SRC, mismatches
+from conftest import DATA_DIR, GEN_1795_SEED7_BITS, SRC, TABLE_B5_FIXTURE, fresh_env, store_state
+from parser_reuse import mismatches
 
 
 def ok(args):
@@ -383,7 +383,7 @@ class TestStoreCommands:
         # test at the timeout instead of hanging the suite.
         proc = subprocess.run(
             [sys.executable, "-m", "blokit.cli", "store", command, "--root", str(root), *args],
-            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, **fresh_env()), capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", f"blokit: error: {error.format(root=root)}\n")
@@ -743,7 +743,7 @@ class TestParserReuse:
             "import blokit.cli\n"
             "print(len(built))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+        proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
@@ -753,7 +753,7 @@ class TestParserReuse:
 
     def test_import_loads_only_the_modules_every_command_needs(self):
         proc = subprocess.run([sys.executable, "-c", "import sys, blokit.cli\n" + self.LOADED],
-                              env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120)
+                              env=fresh_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "blokit blokit.bits blokit.cli blokit.errors blokit.transform\n"
 
@@ -767,7 +767,7 @@ class TestParserReuse:
             f"assert cli.main(['match', '--template', {template!r}, '--probe', {feature!r}]) == 0\n"
             + self.LOADED
         )
-        proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+        proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
@@ -790,7 +790,7 @@ class TestParserReuse:
             "assert cli.main(['match', '--template', './missing.blo', '--probe', 'f.bits']) == 1\n"
         )
         proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
-                              env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+                              env=fresh_env(), capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
@@ -814,7 +814,7 @@ class TestParserReuse:
             "print('hashlib' in sys.modules, '_hashlib' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
-                              env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+                              env=fresh_env(), capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         forged = tmp_path / "expected.bits"
@@ -839,7 +839,7 @@ class TestParserReuse:
             "print('hashlib' in sys.modules, 'binascii' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
-                              env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+                              env=fresh_env(), capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
@@ -860,7 +860,7 @@ class TestParserReuse:
             "    counts.append(len(built))\n"
             "sys.stderr.write(f'{counts[0]} {counts[1]}')\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+        proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         plain, not_plain = map(int, proc.stderr.split())

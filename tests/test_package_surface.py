@@ -13,7 +13,7 @@ import pytest
 
 import blokit
 
-from parser_reuse import SRC
+from conftest import fresh_env
 
 # Each public name in ``__all__`` order, with the module that defines it.
 GOLDEN = [
@@ -68,7 +68,7 @@ GOLDEN = [
 
 def fresh(code):
     """Run ``code`` in a fresh interpreter that imports blokit from the checkout; return its stdout."""
-    proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

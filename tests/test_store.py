@@ -3,6 +3,7 @@ import os
 import signal
 import socket
 import struct
+from pathlib import Path
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -502,6 +503,76 @@ class TestLookupContract:
                 with pytest.raises(error):
                     store.load_template("d1", user)
         assert fd_count() == before
+
+
+# Ids as the store takes them: no separator, line break or NUL, and neither "." nor "..";
+# dots, spaces and non-ASCII letters are all allowed.  At most 60 UTF-8 bytes each.
+valid_ids = st.one_of(
+    st.sampled_from([" ", "a b", ".hidden", "..x", "x.", "...", "é", "用户", "d.1", " lead"]),
+    st.text(
+        st.characters(exclude_categories=("Cs",),
+                      exclude_characters="/\\\t\x00\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"),
+        min_size=1, max_size=15,
+    ).filter(lambda s: s not in (".", "..")),
+)
+
+# Each root form, relative to a fresh working directory; "ABS" stands for an absolute path.
+ROOT_FORMS = ["tmp/s", "tmp/s/", "./s", ".", "ABS", "ABS/"]
+LONG_IDS = [("d1", "u" * 300), ("d" * 300, "u")]
+
+
+def make_root(tmp_path, monkeypatch, form):
+    """Chdir to a fresh directory under ``tmp_path``; make the store root ``form`` names and a
+    device directory d1 in it; return the root as the store is given it."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    root = str(tmp_path / "abs") + form[3:] if form.startswith("ABS") else form
+    os.makedirs(os.path.join(root, "d1"))
+    return root
+
+
+def joined_name(root, device, user):
+    """The text that names os.path.join(root, device, user + ".blo")."""
+    return str(Path(os.path.join(root, device, user + ".blo")))
+
+
+class TestPathText:
+    """Every error names the file that os.path.join(root, device, user + ".blo") names."""
+
+    @pytest.mark.parametrize("form", ROOT_FORMS)
+    def test_bad_magic_names_the_joined_path(self, tmp_path, monkeypatch, form):
+        root = make_root(tmp_path, monkeypatch, form)
+        Path(root, "d1", "alice.blo").write_bytes(b"junk")
+        with pytest.raises(MalformedInputError) as raised:
+            TemplateStore(root).load_template("d1", "alice")
+        assert str(raised.value) == f"{joined_name(root, 'd1', 'alice')}: not a template file (bad magic)"
+
+    @pytest.mark.parametrize(
+        "form, device, user",
+        [(form, *ids) for form in ROOT_FORMS for ids in LONG_IDS] + [("/", *LONG_IDS[1])],
+    )
+    def test_name_too_long_names_the_joined_path(self, tmp_path, monkeypatch, form, device, user):
+        root = form if form == "/" else make_root(tmp_path, monkeypatch, form)
+        with pytest.raises(OSError) as raised:
+            TemplateStore(root).load_template(device, user)
+        name = joined_name(root, device, user)
+        assert raised.value.errno == errno.ENAMETOOLONG
+        assert raised.value.filename == name
+        assert str(raised.value) == (
+            f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: {name!r}"
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(form=st.sampled_from(ROOT_FORMS), device=valid_ids, user=valid_ids)
+    def test_valid_ids_name_the_joined_path(self, tmp_path_factory, form, device, user):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            root = make_root(tmp_path_factory.mktemp("ids"), monkeypatch, form)
+            os.makedirs(os.path.join(root, device), exist_ok=True)
+            Path(root, device, user + ".blo").write_bytes(b"BLO2")
+            with pytest.raises(MalformedInputError) as raised:
+                TemplateStore(root).load_template(device, user)
+        assert str(raised.value) == f"{joined_name(root, device, user)}: not a template file (bad magic)"
 
 
 def blo_bytes(tpl):

@@ -21,7 +21,13 @@ from blokit import (
     transform_block,
     write_template_file,
 )
-from blokit.transform import _kernel_masks, transform_value
+from blokit.transform import (
+    _header_params,
+    _kernel_masks,
+    decode_template,
+    encode_template,
+    transform_value,
+)
 
 from conftest import (
     bit_strings,
@@ -313,3 +319,56 @@ class TestTemplateFile:
         path.write_bytes(mutate(path.read_bytes()))
         with pytest.raises(MalformedInputError):
             read_template_file(path)
+
+
+def blo_header(block_size, policy_byte=0, original_length=8, data_bits=8):
+    """A '.blo' header with the given fields and a zero payload of ``data_bits`` bits."""
+    return (b"BLO1" + bytes([1, policy_byte]) + block_size.to_bytes(2, "big")
+            + original_length.to_bytes(4, "big") + data_bits.to_bytes(4, "big")
+            + bytes(-(-data_bits // 8)))
+
+
+class TestHeaderParams:
+    """decode_template shares one TransformParams per (block size, policy byte)."""
+
+    @pytest.mark.parametrize("policy", list(PaddingPolicy))
+    @pytest.mark.parametrize("b", range(3, 18, 2))
+    def test_every_odd_block_size_decodes_to_its_params(self, b, policy):
+        tpl = transform(FeatureVector(random_bits(3 * b + 1, b)), TransformParams(b, policy))
+        first = decode_template(encode_template(tpl), "t.blo")
+        again = decode_template(encode_template(tpl), "t.blo")
+        assert first == again == tpl
+        assert first.params == TransformParams(b, policy)
+        assert first.params.padding is policy
+        assert again.params is first.params
+
+    @pytest.mark.parametrize(
+        "bad, neighbour, error",
+        [
+            (0, 3, "block size must be at least 3, got 0"),
+            (1, 3, "block size must be at least 3, got 1"),
+            (2, 3, "block size must be at least 3, got 2"),
+            (4, 5, "block size must be odd, got 4"),
+            (65534, 65533, "block size must be odd, got 65534"),
+        ],
+    )
+    def test_invalid_block_size_raises_before_and_after_a_valid_decode(self, bad, neighbour, error):
+        expected = f"d1/u.blo: {error}"
+        for policy_byte in (0, 1):
+            raw = blo_header(bad, policy_byte)
+            with pytest.raises(MalformedInputError) as before:
+                decode_template(raw, "d1/u.blo")
+            tpl = transform(FeatureVector(random_bits(neighbour, 1)), TransformParams(neighbour))
+            assert decode_template(encode_template(tpl), "d1/v.blo") == tpl
+            with pytest.raises(MalformedInputError) as after:
+                decode_template(raw, "d1/u.blo")
+            assert str(before.value) == str(after.value) == expected
+
+    def test_many_distinct_headers_keep_the_cache_within_its_bound(self):
+        maxsize = _header_params.cache_info().maxsize
+        assert maxsize is not None
+        for b in range(3, 200, 2):
+            for policy_byte in (0, 1):
+                tpl = decode_template(blo_header(b, policy_byte, b, b - 1), "t.blo")
+                assert tpl.params == TransformParams(b, list(PaddingPolicy)[policy_byte])
+                assert _header_params.cache_info().currsize <= maxsize
