@@ -59,6 +59,12 @@ class TestMatchTemplates:
         b = transform(FeatureVector(random_bits(100, 7)), ZP)
         assert match_templates(a, b, 0.5) == match_templates(b, a, 0.5)
 
+    def test_equal_params_in_distinct_objects_match(self):
+        fv = FeatureVector(random_bits(1795, 8))
+        a, b = transform(fv, TransformParams(5)), transform(fv, TransformParams(5))
+        assert a.params is not b.params
+        assert match_templates(a, b).accepted
+
     def test_parameter_mismatch_rejected(self):
         a = transform(FeatureVector(random_bits(105, 1)), TransformParams(5))
         b = transform(FeatureVector(random_bits(105, 1)), TransformParams(7))
