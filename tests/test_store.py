@@ -546,7 +546,8 @@ class TestPathText:
         Path(root, "d1", "alice.blo").write_bytes(b"junk")
         with pytest.raises(MalformedInputError) as raised:
             TemplateStore(root).load_template("d1", "alice")
-        assert str(raised.value) == f"{joined_name(root, 'd1', 'alice')}: not a template file (bad magic)"
+        name = joined_name(root, "d1", "alice")
+        assert str(raised.value) == f"{name}: not a template file (bad magic)"
 
     @pytest.mark.parametrize(
         "form, device, user",
@@ -572,7 +573,8 @@ class TestPathText:
             Path(root, device, user + ".blo").write_bytes(b"BLO2")
             with pytest.raises(MalformedInputError) as raised:
                 TemplateStore(root).load_template(device, user)
-        assert str(raised.value) == f"{joined_name(root, device, user)}: not a template file (bad magic)"
+        name = joined_name(root, device, user)
+        assert str(raised.value) == f"{name}: not a template file (bad magic)"
 
 
 def blo_bytes(tpl):
