@@ -15,7 +15,7 @@ Conventions used everywhere in this package:
   ``write_fd`` as it is printed, so it holds the packed bytes and one
   chunk's text, never the whole file; the reader holds the file and one
   chunk of its digits, never a newline-free copy of the whole, and joins
-  the last chunk's value below the earlier chunks' bytes.  The reader lets
+  the chunks' values pairwise, in balanced merges.  The reader lets
   ``int(digits, 2)`` do the check: digits and '\n' alone decode straight
   from the bytes, and only other input is decoded as UTF-8 text, to skip
   other whitespace or to name a fault.
@@ -384,18 +384,17 @@ def _bits_file_chunks(packed: bytes, pad: int) -> Iterator[bytes]:
 # else, or what int() rejects, is decoded as UTF-8 text with universal
 # newlines, exactly as Path.read_text would, and parsed by from_text, which
 # skips any other whitespace and names the first bad character at its text
-# offset.  One loop decodes every file a chunk of lines at a time: each chunk
-# but the last turns its digits to bytes, less the fewer than 8 left over,
-# which lead the next; the last chunk's value joins below those bytes.
+# offset.  One loop decodes every file a chunk of lines at a time and merges
+# the chunk values as a binary counter does: two runs of equally many chunks
+# join, the earlier above, and the last chunk folds every run into the value.
+# Each bit is copied once per level, so a file of k chunks costs log2(k)
+# passes, where joining each new chunk below the rest would cost k.
 def read_bits_file(path: "str | os.PathLike[str]") -> BitString:
     raw = read_file(path)
     size = BITS_CHUNK // 8 * 65  # file bytes in a chunk: whole 64-digit lines and their newlines
-    parts, carry, length = [], b"", 0
+    runs = []  # (value, width, chunks) per run, earliest first, chunk counts falling
     for start in range(0, len(raw), size):
-        digits = carry + raw[start : start + size].replace(b"\n", b"")
-        last = start + size >= len(raw)
-        keep = len(digits) if last else len(digits) & -8
-        digits, carry = digits[:keep], digits[keep:]
+        digits = raw[start : start + size].replace(b"\n", b"")
         if digits and not (digits[:1] in (b"0", b"1") and digits[-1:] in (b"0", b"1")
                            and digits[1:2] not in (b"b", b"B") and b"_" not in digits):
             break
@@ -403,10 +402,13 @@ def read_bits_file(path: "str | os.PathLike[str]") -> BitString:
             value = int(digits or b"0", 2)
         except ValueError:
             break
+        last, width, chunks = start + size >= len(raw), len(digits), 1
+        while runs and (last or runs[-1][2] == chunks):
+            high, high_width, high_chunks = runs.pop()
+            value, width, chunks = high << width | value, high_width + width, high_chunks + chunks
         if last:
-            return BitString(int.from_bytes(b"".join(parts), "big") << keep | value, length + keep)
-        parts.append(value.to_bytes(keep // 8, "big"))
-        length += keep
+            return BitString(value, width)
+        runs.append((value, width, chunks))
     try:
         return from_text(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except UnicodeDecodeError as exc:

@@ -42,6 +42,8 @@ class PaddingPolicy(enum.Enum):
 
 _POLICY_BYTE = {PaddingPolicy.ZERO_PAD: 0x00, PaddingPolicy.TRUNCATE: 0x01}
 _BYTE_POLICY = {v: k for k, v in _POLICY_BYTE.items()}
+# Bound once: looking a member up on its enum class costs about 0.1 us (Python 3.11).
+_TRUNCATE = PaddingPolicy.TRUNCATE
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ class ProtectedTemplate:
 
 def _block_count(length: int, params: TransformParams) -> int:
     b = params.block_size
-    if params.padding is PaddingPolicy.TRUNCATE:
+    if params.padding is _TRUNCATE:
         if length < b:
             raise InvalidArgumentError(f"{length}-bit input is shorter than one {b}-bit block")
         return length // b
@@ -212,19 +214,28 @@ def transform_block(block: BitString) -> BitString:
     return BitString(transform_value(block.value, 1, b), b - 1)
 
 
+def template_payload(fv: "FeatureVector | BitString", params: TransformParams) -> BitString:
+    """The payload of ``transform(fv, params)``, and its errors, without the template record.
+
+    Backs :func:`transform`; a store lookup decides it against the stored
+    template through ``matcher.match_payload``.
+    """
+    value, n = _aligned_value(_coerce(fv), params)
+    return BitString(transform_value(value, n, params.block_size), n * (params.block_size - 1))
+
+
 def transform(fv: "FeatureVector | BitString", params: TransformParams) -> ProtectedTemplate:
     """Transform a feature vector into its protected template.
 
     Deterministic: equal inputs always give bit-identical templates.
     """
     bs = _coerce(fv)
-    value, n = _aligned_value(bs, params)
-    out = transform_value(value, n, params.block_size)
+    data = template_payload(bs, params)
     return ProtectedTemplate(
-        data=BitString(out, n * (params.block_size - 1)),
+        data=data,
         params=params,
         original_length=bs.length,
-        block_count=n,
+        block_count=data.length // (params.block_size - 1),
     )
 
 

@@ -79,6 +79,13 @@ class TestMatchTemplates:
         with pytest.raises(IncomparableTemplatesError):
             match_templates(a, b)
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_threshold_error_comes_before_a_parameter_mismatch(self, threshold):
+        a = transform(FeatureVector(random_bits(105, 1)), TransformParams(5))
+        b = transform(FeatureVector(random_bits(105, 1)), TransformParams(7))
+        with pytest.raises(InvalidArgumentError, match=r"^threshold must lie in \[0, 1\], got "):
+            match_templates(a, b, threshold)
+
     def test_length_mismatch_rejected(self):
         a = transform(FeatureVector(random_bits(10, 1)), ZP)
         b = transform(FeatureVector(random_bits(15, 1)), ZP)

@@ -1,17 +1,21 @@
 import errno
 import os
+import shutil
 import signal
 import socket
 import struct
+import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 import hypothesis.strategies as st
 import pytest
 
 from blokit import (
     EnrollmentRecord,
     FeatureVector,
+    IncomparableTemplatesError,
     InvalidArgumentError,
     MalformedInputError,
     ManifestEntry,
@@ -23,12 +27,13 @@ from blokit import (
     TemplateStore,
     TransformParams,
     forge,
+    match_templates,
     random_bits,
     read_template_file,
     transform,
 )
 from blokit.transform import write_template_file
-from conftest import DATA_DIR, store_state
+from conftest import DATA_DIR, every_odd_block_size, padding_policies, store_state
 
 ZP = TransformParams(5)
 
@@ -119,6 +124,75 @@ class TestAuthenticate:
             store.authenticate("d1", "bob", FeatureVector(random_bits(10, 1)))
         with pytest.raises(RecordNotFoundError):
             store.authenticate("d2", "alice", FeatureVector(random_bits(10, 1)))
+
+
+def outcome(call):
+    """What ``call()`` returns, or the class and text of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def lookup_cases(draw):
+    """(stored feature, params, probe, threshold) over every kind of probe and threshold."""
+    params = TransformParams(draw(every_odd_block_size), draw(padding_policies))
+    b = params.block_size
+    length = draw(st.integers(b, 12 * b))
+    stored = FeatureVector(random_bits(length, draw(st.integers(0, 2**16))))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["genuine", "forged", "random", "other-length", "short"]))
+    if kind == "genuine":
+        probe = stored
+    elif kind == "forged":
+        tpl = transform(stored, params)
+        probe = forge(tpl, random_bits(tpl.block_count, seed))
+    else:
+        probe_length = {
+            "random": st.just(length),
+            "other-length": st.integers(1, 14 * b).filter(lambda n: n != length),
+            "short": st.integers(1, b - 1),
+        }[kind]
+        probe = FeatureVector(random_bits(draw(probe_length), seed))
+    threshold = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.1, 1.5, float("nan")])))
+    return stored, params, probe, threshold
+
+
+class TestAuthenticateOracle:
+    """authenticate decides as match_templates(transform(probe, stored.params), stored) does."""
+
+    @pytest.fixture(scope="class")
+    def oracle_store(self, tmp_path_factory):
+        return TemplateStore(tmp_path_factory.mktemp("oracle"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=lookup_cases())
+    def test_same_decision_or_same_error(self, oracle_store, case):
+        fv, params, probe, threshold = case
+        oracle_store.enroll(EnrollmentRecord("d1", "u", transform(fv, params), 1))
+        stored = oracle_store.load_template("d1", "u")
+        expected = outcome(lambda: match_templates(transform(probe, stored.params), stored,
+                                                   threshold))
+        assert outcome(lambda: oracle_store.authenticate("d1", "u", probe, threshold)) == expected
+
+    @pytest.mark.parametrize(
+        "probe_bits, threshold, error, text",
+        [
+            (1795, 1.5, InvalidArgumentError, "threshold must lie in [0, 1], got 1.5"),
+            (1800, 1.0, IncomparableTemplatesError, "length mismatch: 1440 vs 1436 bits"),
+            (1800, 1.5, InvalidArgumentError, "threshold must lie in [0, 1], got 1.5"),
+            (4, 1.5, InvalidArgumentError, "4-bit input is shorter than one 5-bit block"),
+        ],
+    )
+    def test_error_order(self, store, probe_bits, threshold, error, text):
+        params = TransformParams(5, PaddingPolicy.TRUNCATE)
+        store.enroll(EnrollmentRecord(
+            "d1", "u", transform(FeatureVector(random_bits(1795, 1)), params), 1))
+        probe = FeatureVector(random_bits(probe_bits, 2))
+        with pytest.raises(error) as raised:
+            store.authenticate("d1", "u", probe, threshold)
+        assert type(raised.value) is error and str(raised.value) == text
 
 
 class TestListRecords:
@@ -649,3 +723,95 @@ class TestBloFuzz:
                 assert isinstance(tpl, ProtectedTemplate)
                 outcomes.append(tpl)
         assert outcomes[0] == outcomes[1]
+
+
+# The machine's ids: 12 pairs it may enroll, one pair it never does, and malformed ids,
+# among them a lone surrogate (a non-UTF-8 byte in argv).
+MACHINE_PAIRS = [(device, user) for device in ("d1", "d2", "d3")
+                 for user in ("u1", "u2", "u3", "u4")]
+ABSENT_PAIR = ("d1", "absent")
+BAD_IDS = ["", ".", "..", "a/b", "a\\b", "a\tb", "a\nb", "a\x00b", "a\u2028b", "\udcff"]
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """The store against a model that holds each pair's manifest entry, template and feature."""
+
+    def __init__(self):
+        super().__init__()
+        self.root = tempfile.mkdtemp(prefix="store-machine-")
+        self.store = TemplateStore(self.root)
+        self.previous = None  # the store that reopen replaced
+        self.model = {}  # (device, user) -> (entry, template, feature), in manifest order
+        self.clock = 0
+
+    def teardown(self):
+        shutil.rmtree(self.root)
+
+    def enroll_pair(self, pair, data):
+        params = TransformParams(data.draw(st.sampled_from([3, 5, 7])), data.draw(padding_policies))
+        length = data.draw(st.integers(params.block_size, 60))
+        fv = FeatureVector(random_bits(length, data.draw(st.integers(0, 2**16))))
+        self.clock += 1
+        tpl = transform(fv, params)
+        self.store.enroll(EnrollmentRecord(*pair, tpl, self.clock))
+        filename = f"{pair[0]}/{pair[1]}.blo"
+        entry = ManifestEntry(*pair, filename, params.block_size, length, self.clock)
+        self.model[pair] = (entry, tpl, fv)  # a pair already present keeps its place
+
+    @precondition(lambda self: len(self.model) < len(MACHINE_PAIRS))
+    @rule(data=st.data())
+    def enroll_new_pair(self, data):
+        new = [pair for pair in MACHINE_PAIRS if pair not in self.model]
+        self.enroll_pair(data.draw(st.sampled_from(new)), data)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def re_enroll(self, data):
+        self.enroll_pair(data.draw(st.sampled_from(list(self.model))), data)
+
+    @rule(bad=st.sampled_from(BAD_IDS), as_device=st.booleans(), known_pair=st.booleans())
+    def enroll_malformed_id(self, bad, as_device, known_pair):
+        device, user = MACHINE_PAIRS[0] if known_pair else ("d9", "u9")
+        pair = (bad, user) if as_device else (device, bad)
+        record = EnrollmentRecord(*pair, transform(FeatureVector(random_bits(20, 1)), ZP), 0)
+        before = store_state(self.root)
+        with pytest.raises(InvalidArgumentError, match="^malformed (device|user) id: "):
+            self.store.enroll(record)
+        assert store_state(self.root) == before
+
+    @rule()
+    def reopen(self):
+        self.previous, self.store = self.store, TemplateStore(self.root)
+
+    @invariant()
+    def manifest_matches_the_model(self):
+        entries = [entry for entry, _, _ in self.model.values()]
+        assert self.store.list_records() == entries
+        manifest = Path(self.root, "manifest.tsv")
+        if not entries:
+            assert not manifest.exists()
+            return
+        lines = [f"{e.device_id}\t{e.user_id}\t{e.filename}\t{e.block_size}\t{e.original_length}"
+                 f"\t{e.enrolled_at}\n" for e in entries]
+        assert manifest.read_bytes() == "".join(lines).encode("utf-8")
+
+    @invariant()
+    def lookups_match_the_model(self):
+        for pair, (_, tpl, fv) in self.model.items():
+            assert self.store.load_template(*pair) == tpl
+            forged = forge(tpl, random_bits(tpl.block_count, self.clock))
+            for probe in (fv, forged):
+                assert self.store.authenticate(*pair, probe).accepted
+        with pytest.raises(RecordNotFoundError):
+            self.store.load_template(*ABSENT_PAIR)
+
+    @invariant()
+    def a_reopened_store_agrees(self):
+        if self.previous is not None:
+            assert self.previous.list_records() == self.store.list_records()
+            for pair in self.model:
+                assert self.previous.load_template(*pair) == self.store.load_template(*pair)
+
+
+StoreMachine.TestCase.settings = settings(max_examples=100, stateful_step_count=25, deadline=None)
+TestStoreMachine = StoreMachine.TestCase
