@@ -23,12 +23,12 @@ import json
 import math
 from array import array
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 from .bits import BitString, FeatureVector, random_bits, refuse_beyond_u32, stream_draws
 from .errors import CapacityError, InvalidArgumentError
-from .transform import TransformParams, invert_value, transform, transform_value
+from .transform import TransformParams, invert_value, template_payload, transform_value
 
 CENSUS_MAX_BITS = 24
 
@@ -254,8 +254,8 @@ def linkability_study(
             FeatureVector(random_bits(feature_bits, seed, f"user/{u}"), provenance=f"user/{u}")
             for u in range(users)
         ]
-    templates = [transform(fv, params) for fv in features]
-    template_bits = {tpl.data.length for tpl in templates}
+    payloads = [template_payload(fv, params) for fv in features]
+    template_bits = {p.length for p in payloads}
     if len(template_bits) != 1:
         raise InvalidArgumentError("user features must produce equally sized templates")
     length = template_bits.pop()
@@ -263,7 +263,6 @@ def linkability_study(
     # Per-device stored payloads: the plain transform, optionally masked.
     # Rows are users (same-user pairs), columns devices (cross-user pairs);
     # every plain row repeats one payload and every plain column is the same.
-    payloads = [tpl.data for tpl in templates]
     masks = None
     if keyed_baseline:
         masks = [random_bits(length, seed, f"device-mask/{d}") for d in range(devices)]
@@ -307,7 +306,7 @@ def revocability_check(
     """Count distinct templates over repeated enrollments of one feature."""
     if attempts < 2:
         raise InvalidArgumentError("need at least 2 enrollment attempts")
-    distinct = {transform(fv, params).data for _ in range(attempts)}
+    distinct = {template_payload(fv, params) for _ in range(attempts)}
     report = AnalysisReport(
         kind="revocability",
         parameters={

@@ -12,8 +12,8 @@ inverse half of the transform's kernel pair (see that module).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .bits import BitString, FeatureVector
 from .errors import DimensionError, InvalidArgumentError

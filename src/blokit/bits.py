@@ -43,8 +43,8 @@ from __future__ import annotations
 import os
 import random
 import stat
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .errors import CapacityError, DimensionError, InvalidArgumentError, MalformedInputError
 
@@ -434,17 +434,21 @@ def read_fbin_file(path: "str | os.PathLike[str]") -> BitString:
         raise MalformedInputError(f"{path_name(path)}: {exc}") from exc
 
 
-# For a path that names a file, basename is Path(path).name, and its suffix
-# is ".fbin" just when the name ends so after at least one more character.
+def _is_fbin(name: str) -> bool:
+    # For a path that names a file, its basename is Path(path).name, and its
+    # suffix is ".fbin" just when the name ends so after at least one more character.
+    return name[1:].endswith(".fbin")
+
+
 def read_feature(path: "str | os.PathLike[str]") -> FeatureVector:
     """Load a feature vector, dispatching on the '.fbin' suffix."""
     name = os.path.basename(path)
-    bs = read_fbin_file(path) if name[1:].endswith(".fbin") else read_bits_file(path)
+    bs = read_fbin_file(path) if _is_fbin(name) else read_bits_file(path)
     if bs.length == 0:
         raise MalformedInputError(f"{path_name(path)}: empty feature file")
     return FeatureVector(bs, provenance=name)
 
 
 def write_feature(path: "str | os.PathLike[str]", fv: FeatureVector) -> None:
-    write = write_fbin_file if os.path.basename(path)[1:].endswith(".fbin") else write_bits_file
+    write = write_fbin_file if _is_fbin(os.path.basename(path)) else write_bits_file
     write(path, fv.data)

@@ -26,8 +26,8 @@ import argparse
 import functools
 import io
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 # attack, matcher, store and analysis are imported by the handlers that use
 # them, so a fresh process loads only what its command needs.
@@ -38,6 +38,7 @@ from .transform import (
     PaddingPolicy,
     TransformParams,
     read_template_file,
+    template_payload,
     transform,
     write_template_file,
 )
@@ -90,11 +91,11 @@ def _cmd_enroll(ns: argparse.Namespace) -> int:
 
 
 def _cmd_match(ns: argparse.Namespace) -> int:
-    from .matcher import match_templates
+    from .matcher import match_probe
 
     tpl = read_template_file(ns.template)
     probe = bits.read_feature(ns.probe)
-    decision = match_templates(transform(probe, tpl.params), tpl, ns.threshold)
+    decision = match_probe(probe, tpl, ns.threshold)
     print(f"{decision.similarity:.6f}")
     return EXIT_OK if decision.accepted else EXIT_REJECT
 
@@ -146,8 +147,9 @@ def _cmd_attack_preimage(ns: argparse.Namespace) -> int:
 def _cmd_attack_verify(ns: argparse.Namespace) -> int:
     tpl = read_template_file(ns.template)
     probe = bits.read_feature(ns.probe)
-    candidate = transform(probe, tpl.params)
-    valid = candidate.same_template(tpl)
+    # An exact payload compare, not match_probe: a probe of another length is
+    # invalid, not a length error.
+    valid = template_payload(probe, tpl.params) == tpl.data
     print(f"result\t{'valid' if valid else 'invalid'}")
     return EXIT_OK if valid else EXIT_REJECT
 
@@ -232,19 +234,11 @@ def _cmd_store_list(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _Opt(NamedTuple):
-    """One option of a leaf command: stored through ``type``, or a store-true flag if ``type`` is bool."""
-
-    flag: str
-    dest: str
-    type: type
-    required: bool
-    default: object
-    choices: "tuple | None"
-    help: "str | None"
-    # Options naming one group are mutually exclusive; a member's
-    # ``required`` is the group's: one member must be given.
-    group: "str | None"
+# One option of a leaf command: stored through ``type``, or a store-true flag
+# if ``type`` is bool.  ``choices``, ``help`` and ``group`` may be None.
+# Options naming one group are mutually exclusive; a member's ``required`` is
+# the group's: one member must be given.
+_Opt = namedtuple("_Opt", "flag dest type required default choices help group")
 
 
 def _opt(flag, help=None, *, type=str, required=False, default=None, choices=None, dest=None, group=None) -> _Opt:

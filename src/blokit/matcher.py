@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import BitString
+from .bits import BitString, FeatureVector
 from .errors import IncomparableTemplatesError, InvalidArgumentError
-from .transform import ProtectedTemplate
+from .transform import ProtectedTemplate, template_payload
 
 
 @dataclass(frozen=True)
@@ -21,25 +21,31 @@ class MatchDecision:
     accepted: bool
 
 
-def match_payload(
-    payload: BitString, stored: ProtectedTemplate, threshold: float = 1.0
-) -> MatchDecision:
-    """Decide a probe's template payload against a stored template of the same params.
-
-    Backs :func:`match_templates`, which checks the params first; a store
-    lookup calls it with ``transform.template_payload`` of the probe under
-    ``stored.params``, so it builds no candidate template.
-    """
+def _decide(payload: BitString, stored: BitString, threshold: float) -> MatchDecision:
     if not 0.0 <= threshold <= 1.0:
         raise InvalidArgumentError(f"threshold must lie in [0, 1], got {threshold}")
-    length = stored.data.length
+    length = stored.length
     if payload.length != length:
         raise IncomparableTemplatesError(f"length mismatch: {payload.length} vs {length} bits")
     # bits.hamming_distance, less its length check: the lengths are equal here.
-    similarity = 1.0 - (payload.value ^ stored.data.value).bit_count() / length
+    similarity = 1.0 - (payload.value ^ stored.value).bit_count() / length
     return MatchDecision(
         similarity=similarity, threshold=threshold, accepted=similarity >= threshold
     )
+
+
+def match_probe(
+    probe: "FeatureVector | BitString", stored: ProtectedTemplate, threshold: float = 1.0
+) -> MatchDecision:
+    """Decide a probe feature against a stored template.
+
+    The probe is transformed under ``stored.params`` and only its payload is
+    compared with ``stored.data``, so no candidate template is built.  The
+    decision and the errors, in their order (the transform's, the
+    threshold's, the length's), are those of ``match_templates(transform(probe,
+    stored.params), stored, threshold)``.
+    """
+    return _decide(template_payload(probe, stored.params), stored.data, threshold)
 
 
 def match_templates(
@@ -50,10 +56,10 @@ def match_templates(
     similarity = 1 - distance/length; accepted iff similarity >= threshold.
     Symmetric in a and b.
     """
-    # A store lookup matches against the stored template's own params object.
-    # A threshold out of range is reported first, by match_payload.
+    # Templates made under one params object skip the compare.  A threshold
+    # out of range is reported first, by _decide.
     if a.params is not b.params and a.params != b.params and 0.0 <= threshold <= 1.0:
         raise IncomparableTemplatesError(
             f"parameter mismatch: {a.params} vs {b.params}"
         )
-    return match_payload(a.data, b, threshold)
+    return _decide(a.data, b.data, threshold)

@@ -37,13 +37,12 @@ from .errors import (
     RecordNotFoundError,
     StorageError,
 )
-from .matcher import MatchDecision, match_payload
+from .matcher import MatchDecision, match_probe
 from .transform import (
     ProtectedTemplate,
     TransformParams,
     decode_template,
     encode_template,
-    template_payload,
     transform,
 )
 
@@ -220,14 +219,8 @@ class TemplateStore:
     def authenticate(
         self, device_id: str, user_id: str, probe: FeatureVector, threshold: float = 1.0
     ) -> MatchDecision:
-        """Transform the probe with the stored parameters and match it.
-
-        Decides as ``match_templates(transform(probe, stored.params), stored,
-        threshold)`` does, with the same errors in the same order, but builds
-        no candidate template: only the probe's payload is compared.
-        """
-        stored = self.load_template(device_id, user_id)
-        return match_payload(template_payload(probe, stored.params), stored, threshold)
+        """Decide the probe against the stored template, by ``matcher.match_probe``."""
+        return match_probe(probe, self.load_template(device_id, user_id), threshold)
 
     def list_records(self) -> "list[ManifestEntry]":
         """Manifest entries in manifest order; empty store gives an empty list."""

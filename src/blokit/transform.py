@@ -217,8 +217,8 @@ def transform_block(block: BitString) -> BitString:
 def template_payload(fv: "FeatureVector | BitString", params: TransformParams) -> BitString:
     """The payload of ``transform(fv, params)``, and its errors, without the template record.
 
-    Backs :func:`transform`; a store lookup decides it against the stored
-    template through ``matcher.match_payload``.
+    A probe is decided on its payload under the stored template's params
+    alone, so only a template that is kept needs the record.
     """
     value, n = _aligned_value(_coerce(fv), params)
     return BitString(transform_value(value, n, params.block_size), n * (params.block_size - 1))

@@ -15,17 +15,29 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from blokit import (
+    BlokitError,
     InvalidArgumentError,
     MalformedInputError,
     analysis,
     cli,
     from_text,
+    match_templates,
     read_template_file,
+    transform,
+    write_template_file,
 )
 from blokit.bits import read_bits_file, read_feature, write_feature
-from blokit.cli import run
+from blokit.cli import CommandOutcome, run
 
-from conftest import DATA_DIR, GEN_1795_SEED7_BITS, SRC, TABLE_B5_FIXTURE, fresh_env, store_state
+from conftest import (
+    DATA_DIR,
+    GEN_1795_SEED7_BITS,
+    SRC,
+    TABLE_B5_FIXTURE,
+    fresh_env,
+    lookup_cases,
+    store_state,
+)
 from parser_reuse import mismatches
 
 
@@ -104,6 +116,46 @@ class TestPipeline:
         f = tmp_path / "f.fbin"
         ok(["gen", "--bits", "64", "--seed", "5", "--out", str(f)])
         assert f.read_bytes()[:4] == b"FBV1"
+
+
+def handler_outcome(decide, report):
+    """What a handler printing ``report(decide())`` gives: exit 0 or 2 on its verdict, 1 on an error."""
+    try:
+        accepted, line = report(decide())
+    except BlokitError as exc:
+        return CommandOutcome(1, "", f"blokit: error: {exc}\n")
+    return CommandOutcome(0 if accepted else 2, f"{line}\n", "")
+
+
+class TestProbeDecisionOracle:
+    """match and attack verify decide as a candidate template re-made from the probe does."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("probe-oracle")
+        return str(root / "t.blo"), str(root / "probe.bits")
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=lookup_cases())
+    def test_same_outcome_as_the_candidate_template(self, paths, case):
+        fv, params, probe, threshold = case
+        template, probe_path = paths
+        write_template_file(template, transform(fv, params))
+        write_feature(probe_path, probe)
+        tpl = read_template_file(template)
+
+        expected = handler_outcome(
+            lambda: match_templates(transform(probe, tpl.params), tpl, threshold),
+            lambda decision: (decision.accepted, f"{decision.similarity:.6f}"),
+        )
+        argv = ["match", "--template", template, "--probe", probe_path, "--threshold", repr(threshold)]
+        assert run(argv) == expected
+
+        expected = handler_outcome(
+            lambda: transform(probe, tpl.params).same_template(tpl),
+            lambda valid: (valid, f"result\t{'valid' if valid else 'invalid'}"),
+        )
+        assert run(["attack", "verify", "--template", template, "--probe", probe_path]) == expected
 
 
 class TestTable:
@@ -786,7 +838,7 @@ class TestParserReuse:
             "             ['match', '--template', 't.blo', '--probe', 'forged.bits'],\n"
             "             ['attack', 'verify', '--template', 't.blo', '--probe', 'forged.bits']):\n"
             "    assert cli.main(argv) == 0, argv\n"
-            "print('pathlib' in sys.modules)\n"
+            "print('pathlib' in sys.modules, 'typing' in sys.modules)\n"
             "assert cli.main(['match', '--template', './missing.blo', '--probe', 'f.bits']) == 1\n"
         )
         proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
@@ -794,7 +846,8 @@ class TestParserReuse:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
-            "blocks\t359\ntemplate_bits\t1436\npreimages\t2^359\n1.000000\nresult\tvalid\nFalse\n"
+            "blocks\t359\ntemplate_bits\t1436\npreimages\t2^359\n1.000000\nresult\tvalid\n"
+            "False False\n"
         )
         # The error path imports pathlib for the name, and names the file as before.
         assert proc.stderr == "blokit: error: [Errno 2] No such file or directory: 'missing.blo'\n"

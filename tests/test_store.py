@@ -33,7 +33,7 @@ from blokit import (
     transform,
 )
 from blokit.transform import write_template_file
-from conftest import DATA_DIR, every_odd_block_size, padding_policies, store_state
+from conftest import DATA_DIR, lookup_cases, padding_policies, store_state
 
 ZP = TransformParams(5)
 
@@ -132,31 +132,6 @@ def outcome(call):
         return call()
     except Exception as exc:
         return type(exc), str(exc)
-
-
-@st.composite
-def lookup_cases(draw):
-    """(stored feature, params, probe, threshold) over every kind of probe and threshold."""
-    params = TransformParams(draw(every_odd_block_size), draw(padding_policies))
-    b = params.block_size
-    length = draw(st.integers(b, 12 * b))
-    stored = FeatureVector(random_bits(length, draw(st.integers(0, 2**16))))
-    seed = draw(st.integers(0, 2**16))
-    kind = draw(st.sampled_from(["genuine", "forged", "random", "other-length", "short"]))
-    if kind == "genuine":
-        probe = stored
-    elif kind == "forged":
-        tpl = transform(stored, params)
-        probe = forge(tpl, random_bits(tpl.block_count, seed))
-    else:
-        probe_length = {
-            "random": st.just(length),
-            "other-length": st.integers(1, 14 * b).filter(lambda n: n != length),
-            "short": st.integers(1, b - 1),
-        }[kind]
-        probe = FeatureVector(random_bits(draw(probe_length), seed))
-    threshold = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.1, 1.5, float("nan")])))
-    return stored, params, probe, threshold
 
 
 class TestAuthenticateOracle:
