@@ -13,19 +13,23 @@ Conventions used everywhere in this package:
   direction is one loop over ``BITS_CHUNK`` packed bytes at a time, a run
   of whole lines, for a file of any size: the writer hands each chunk to
   ``write_fd`` as it is printed, so it holds the packed bytes and one
-  chunk's text, never the whole file; the reader holds the file and one
-  chunk of its digits, never a newline-free copy of the whole, and joins
-  the chunks' values pairwise, in balanced merges.  The reader lets
-  ``int(digits, 2)`` do the check: digits and '\n' alone decode straight
-  from the bytes, and only other input is decoded as UTF-8 text, to skip
-  other whitespace or to name a fault.
+  chunk's text, never the whole file; the reader decodes each chunk as it
+  is read and then drops it, so it holds one chunk and the value, never
+  the file, and joins the chunks' values pairwise, in balanced merges.
+  The reader undoes the writer's steps with ``bytes.fromhex`` and
+  ``binascii.a2b_hex``, through tables that refuse any digit but '0' and
+  '1': digits in pairs, with ASCII whitespace between pairs, decode
+  straight from the bytes, and only other input is decoded as UTF-8 text,
+  to skip other whitespace or to name a fault.
 - Every error names a file as ``path_name`` does: ``t.blo`` for ``./t.blo``.
 - Every file this package writes goes through ``write_fd``, which
   replaces an existing file's content in place: the file keeps its inode
   and is cut to the new length.  Like ``Path.write_bytes``, the write is
-  not atomic.  Every file it reads goes through ``read_fd``.  The file
-  codecs open through ``write_file`` and ``read_file``, which follow links;
-  the store opens its own files O_NONBLOCK, and O_NOFOLLOW to write.
+  not atomic.  Every file it reads goes through ``read_fd``, but a
+  '.bits' file, which ``read_bits_file`` reads a chunk at a time.  The
+  file codecs open through ``write_file``, ``read_file`` and
+  ``read_bits_file``, which follow links; the store opens its own files
+  O_NONBLOCK, and O_NOFOLLOW to write.
 - Randomness comes from ``random.Random`` (Mersenne Twister).  The
   generator for a draw is seeded with the SHA-256 digest of the 64-bit
   master seed and a stream label, so independent streams split off one
@@ -351,6 +355,17 @@ def read_file(path: "str | os.PathLike[str]") -> bytes:
         raise
 
 
+def _b2a_hex(data: bytes, sep: bytes, bytes_per_sep: int) -> bytes:
+    """``binascii.b2a_hex``: the first call imports it and rebinds this global to it.
+
+    So only a '.bits' write loads binascii, and each later call goes straight to it.
+    """
+    global _b2a_hex
+    from binascii import b2a_hex as _b2a_hex
+
+    return _b2a_hex(data, sep, bytes_per_sep)
+
+
 def write_bits_file(path: "str | os.PathLike[str]", bs: BitString) -> None:
     """Write the text codec ('.bits'): '0'/'1' characters in 64-digit lines."""
     # Packed before the file is opened, so that a value too large to pack
@@ -360,8 +375,6 @@ def write_bits_file(path: "str | os.PathLike[str]", bs: BitString) -> None:
 
 def _bits_file_chunks(packed: bytes, pad: int) -> Iterator[bytes]:
     """The '.bits' file of ``packed`` less its last ``pad`` bits, in chunks of whole lines."""
-    from binascii import b2a_hex  # here, so that only a '.bits' write loads binascii
-
     size = BITS_CHUNK
     # A value of no bits is one chunk of no bytes, printed as one empty line.
     for start in range(0, len(packed) or 1, size):
@@ -369,48 +382,109 @@ def _bits_file_chunks(packed: bytes, pad: int) -> Iterator[bytes]:
         nibbles = bytearray(4 * len(chunk))
         for j, table in enumerate(_PAIR_NIBBLES):
             nibbles[j::4] = chunk.translate(table)
-        text = b2a_hex(nibbles, b"\n", -32)  # a newline after every 32 bytes: 64-digit lines
+        text = _b2a_hex(nibbles, b"\n", -32)  # a newline after every 32 bytes: 64-digit lines
         # A chunk of whole 8-byte lines ends its last line; only the file's
         # last line holds pad digits, 8 to 64 of them, so cutting the pad
         # (at most 7) leaves it whole.
         cut = pad if start + size >= len(packed) else 0
-        yield b"".join((memoryview(text)[: len(text) - cut], b"\n"))
+        yield memoryview(text)[: len(text) - cut]
+        yield b"\n"
 
 
-# A file of digits and '\n' alone, as written above, decodes through int(),
-# which rejects any other byte.  int() also takes outer whitespace, a sign, a
-# '0b' prefix and single '_'s, so digits go to it only when they start and
-# end with a digit, hold no '_', and have no 'b' or 'B' second.  Anything
-# else, or what int() rejects, is decoded as UTF-8 text with universal
-# newlines, exactly as Path.read_text would, and parsed by from_text, which
-# skips any other whitespace and names the first bad character at its text
-# offset.  One loop decodes every file a chunk of lines at a time and merges
-# the chunk values as a binary counter does: two runs of equally many chunks
-# join, the earlier above, and the last chunk folds every run into the value.
-# Each bit is copied once per level, so a file of k chunks costs log2(k)
-# passes, where joining each new chunk below the rest would cost k.
+# A '.bits' file is read a chunk of BITS_CHUNK // 8 lines at a time, and each
+# chunk is decoded as soon as it is read, in three table steps.
+# bytes.fromhex turns each pair of digits into one byte, 0x00, 0x01, 0x10 or
+# 0x11, and skips ASCII whitespace between pairs.  _PAIR_QUADS maps those four
+# to the base-4 digits '0'-'3', and every other byte to 'x', which a2b_hex
+# refuses.  a2b_hex packs two base-4 digits a, b into 16a + b; _QUAD_HEX maps
+# that to the hex digit of 4a + b, and a second a2b_hex packs the bits.
+# fromhex takes an odd run of digits only at the end, so only the file's last
+# run may be odd: the last chunk pairs it with a '0'.  The base-4 digits are
+# padded with '0's to whole bytes.  The width counts neither pad.
+_PAIR_QUADS = (b"01" + b"x" * 14 + b"23").ljust(256, b"x")
+_QUAD_HEX = b"".join(digits + b"x" * 12 for digits in (b"0123", b"4567", b"89ab", b"cdef")).ljust(256, b"x")
+
+
+def _a2b_hex(data: bytes) -> bytes:
+    """``binascii.a2b_hex``: the first call imports it and rebinds this global to it.
+
+    So only a '.bits' read loads binascii, and each later call goes straight to it.
+    """
+    global _a2b_hex
+    from binascii import a2b_hex as _a2b_hex
+
+    return _a2b_hex(data)
+
+
+def _decode_bits_chunk(chunk: bytes, last: bool) -> "tuple[int, int]":
+    """(value, width) of a chunk of a '.bits' file; ValueError if it needs the text path."""
+    text = chunk.decode("ascii")
+    odd = 0
+    if last:
+        text = text.rstrip()
+        odd = (len(text) - len(text.rstrip("01"))) & 1
+        text += "0" * odd
+    quads = bytes.fromhex(text).translate(_PAIR_QUADS)
+    width = 2 * len(quads) - odd
+    packed = _a2b_hex(_a2b_hex(quads + b"0" * (-len(quads) % 4)).translate(_QUAD_HEX))
+    return int.from_bytes(packed, "big") >> (8 * len(packed) - width), width
+
+
+# Any chunk that fails the decode above sends the whole file to the text
+# path: decoded as UTF-8 text with universal newlines, exactly as
+# Path.read_text would, and parsed by from_text, which skips any other
+# whitespace and names the first bad character at its text offset.  A regular
+# file is read again from its start for that; a pipe keeps the chunks it has
+# read.  The chunk values merge as a binary counter does: two runs of equally
+# many chunks join, the earlier above, and the last chunk folds every run into
+# the value.  Each bit is copied once per level, so a file of k chunks costs
+# log2(k) passes, where joining each new chunk below the rest would cost k.
 def read_bits_file(path: "str | os.PathLike[str]") -> BitString:
-    raw = read_file(path)
-    size = BITS_CHUNK // 8 * 65  # file bytes in a chunk: whole 64-digit lines and their newlines
-    runs = []  # (value, width, chunks) per run, earliest first, chunk counts falling
-    for start in range(0, len(raw), size):
-        digits = raw[start : start + size].replace(b"\n", b"")
-        if digits and not (digits[:1] in (b"0", b"1") and digits[-1:] in (b"0", b"1")
-                           and digits[1:2] not in (b"b", b"B") and b"_" not in digits):
-            break
-        try:
-            value = int(digits or b"0", 2)
-        except ValueError:
-            break
-        last, width, chunks = start + size >= len(raw), len(digits), 1
-        while runs and (last or runs[-1][2] == chunks):
-            high, high_width, high_chunks = runs.pop()
-            value, width, chunks = high << width | value, high_width + width, high_chunks + chunks
-        if last:
-            return BitString(value, width)
-        runs.append((value, width, chunks))
     try:
-        return from_text(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            st = os.fstat(fd)
+            regular = stat.S_ISREG(st.st_mode)
+            kept = []  # a pipe's chunks, for the text path
+            runs = []  # (value, width, chunks) per run, earliest first, chunk counts falling
+            size = BITS_CHUNK // 8 * 65  # file bytes in a chunk: whole 64-digit lines and their newlines
+            left = st.st_size if regular else -1
+            while True:
+                # A regular file's last read asks for one byte past its size, so
+                # that the read which reaches that size also shows its end.  A
+                # short read anywhere else, or from a pipe, reads on to fill the chunk.
+                want = left + 1 if 0 <= left <= size else size
+                chunk = os.read(fd, want)
+                while len(chunk) < want and len(chunk) != left:
+                    more = os.read(fd, want - len(chunk))
+                    if not more:
+                        break
+                    chunk += more
+                left -= len(chunk)
+                last = len(chunk) < want
+                if not regular:
+                    kept.append(chunk)
+                try:
+                    value, width = _decode_bits_chunk(chunk, last)
+                except ValueError:
+                    break
+                chunks = 1
+                while runs and (last or runs[-1][2] == chunks):
+                    high, high_width, high_chunks = runs.pop()
+                    value, width, chunks = high << width | value, high_width + width, high_chunks + chunks
+                if last:
+                    return BitString(value, width)
+                runs.append((value, width, chunks))
+            if regular:
+                os.lseek(fd, 0, os.SEEK_SET)
+            kept.extend(iter(lambda: os.read(fd, 1 << 16), b""))
+        finally:
+            os.close(fd)
+    except OSError as exc:  # from the open or a read: a directory opens, then fails to read
+        exc.filename = path_name(path)  # as Path.read_bytes names it
+        raise
+    try:
+        return from_text(b"".join(kept).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"{path_name(path)}: not UTF-8 text (byte {exc.start})") from exc
     except MalformedInputError as exc:

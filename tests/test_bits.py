@@ -10,7 +10,7 @@ import threading
 import tracemalloc
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 import hypothesis.strategies as st
 
 from blokit import (
@@ -456,19 +456,46 @@ EXOTIC_BITS_FILES = {
 }
 
 
-def assert_reads_as_oracle(path):
-    """read_bits_file gives the oracle's BitString, or its error with the path in front."""
+def oracle_outcome(path):
+    """The oracle's BitString for the file at ``path``, or its error text without the path."""
     try:
-        expected = oracle_read_bits_file(path)
+        return oracle_read_bits_file(path)
     except UnicodeDecodeError as exc:
-        message = f"{path}: not UTF-8 text (byte {exc.start})"
+        return f"not UTF-8 text (byte {exc.start})"
     except MalformedInputError as exc:
-        message = f"{path}: {exc}"
-    else:
-        assert read_bits_file(path) == expected
+        return str(exc)
+
+
+def assert_reads_as(path, outcome):
+    """read_bits_file gives ``outcome``'s BitString, or its error text with the path in front."""
+    if isinstance(outcome, BitString):
+        assert read_bits_file(path) == outcome
         return
-    with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(MalformedInputError, match=f"^{re.escape(f'{path}: {outcome}')}$"):
         read_bits_file(path)
+
+
+def assert_reads_as_oracle(path):
+    assert_reads_as(path, oracle_outcome(path))
+
+
+def assert_fifo_reads_as(fifo, raw, outcome):
+    """assert_reads_as for the FIFO at ``fifo``, fed ``raw`` by a writer thread."""
+    writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
+    writer.start()
+    try:
+        assert_reads_as(fifo, outcome)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@pytest.fixture
+def text_path_reads(monkeypatch):
+    """The texts read_bits_file hands to from_text: empty while every chunk decodes from the bytes."""
+    texts = []
+    monkeypatch.setattr(bits, "from_text", lambda text: texts.append(text) or from_text(text))
+    return texts
 
 
 class TestBitsCodecAgainstOracle:
@@ -609,6 +636,94 @@ class TestChunkedBitsReader:
                 assert_reads_as_oracle(path)
 
 
+# Whitespace between digits: what fromhex skips (ASCII, between digit pairs)
+# and what only the text path skips (\x1c and U+2028, which str.split() takes).
+READER_SPACES = [" ", "\t", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\u2028"]
+# One stray byte: a digit or hex letter that int() or fromhex would take ('b'
+# as in a '0b' prefix), '_', a sign, non-ASCII text and a byte that is not UTF-8.
+READER_STRAYS = [bytes((c,)) for c in b"23456789abcdefABCDEF_+-"] + [
+    "\u00e9".encode(), "\u0661".encode(), b"\xff", b"\xc3"]
+
+
+@st.composite
+def perturbed_bits_files(draw, chunk):
+    """(file bytes, as written): a '.bits' file of 1 to about 5 chunks, then perturbed.
+
+    Its lines are 64 digits wide, as the writer writes them, or of odd
+    widths.  Up to three whitespace runs go in before digits at even and odd
+    positions, and at most one stray byte goes in or replaces a digit.
+    """
+    length = draw(st.integers(1, 5 * 8 * chunk + 9))
+    bs = BitString(draw(st.integers(0, (1 << length) - 1)), length)
+    wrap = draw(st.sampled_from([64, 64, 1, 7, 63, 65]))
+    text = oracle_bits_file_text(bs, wrap)
+    offsets = [i for i, ch in enumerate(text) if ch in "01"] + [len(text)]  # each digit's, then the end
+    edits = [(offsets[at], 0, space.encode())
+             for at, space in draw(st.lists(st.tuples(st.integers(0, length), st.sampled_from(READER_SPACES)),
+                                            max_size=3))]
+    stray = draw(st.none() | st.tuples(st.integers(0, length), st.booleans(), st.sampled_from(READER_STRAYS)))
+    if stray:
+        at, replace, byte = stray
+        edits.append((offsets[at], int(replace and at < length), byte))
+    raw = text.encode("ascii")
+    for at, cut, piece in sorted(edits, reverse=True):  # a replacement before an insert at its offset
+        raw = raw[:at] + piece + raw[at + cut :]
+    return raw, wrap == 64 and not edits
+
+
+class TestBitsReaderAgainstFromText:
+    """Every file reads as from_text reads its text, from a regular file and through a FIFO."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_perturbed_files_read_as_from_text(self, tmp_path, chunk, text_path_reads, data):
+        raw, as_written = data.draw(perturbed_bits_files(chunk))
+        path, fifo = tmp_path / "r.bits", tmp_path / "r.fifo"
+        if not fifo.exists():
+            os.mkfifo(fifo)
+        path.write_bytes(raw)
+        outcome = oracle_outcome(path)
+        text_path_reads.clear()
+        assert_reads_as(path, outcome)
+        assert_fifo_reads_as(fifo, raw, outcome)
+        if as_written:  # the writer's own files never need the text path
+            assert text_path_reads == []
+
+
+class TestBitsReaderFromAFifo:
+    """A pipe is read a chunk at a time too, and keeps its chunks for the text path."""
+
+    @pytest.fixture(scope="class")
+    def feature(self, tmp_path_factory):
+        bs = random_bits(2**18 - 3, 29)  # 8 chunks, the last 3 digits short
+        path = tmp_path_factory.mktemp("fifo") / "f.bits"
+        write_bits_file(path, bs)
+        return path, bs
+
+    def test_multi_chunk_feature_reads_as_the_regular_file(self, tmp_path, feature, text_path_reads):
+        path, bs = feature
+        fifo = tmp_path / "f.fifo"
+        os.mkfifo(fifo)
+        assert read_bits_file(path) == bs
+        assert_fifo_reads_as(fifo, path.read_bytes(), bs)
+        assert text_path_reads == []
+
+    def test_fifo_that_fails_the_fast_path_in_its_third_chunk(self, tmp_path, feature, text_path_reads):
+        path, bs = feature
+        at = 2 * (bits.BITS_CHUNK // 8 * 65) + 100  # in the third chunk, between two digits
+        raw = path.read_bytes()
+        raw = raw[:at] + b"\x1c" + raw[at:]  # whitespace to str.split(), a bad digit to fromhex
+        assert raw[at - 1 : at] in (b"0", b"1") and raw[at + 1 : at + 2] in (b"0", b"1")
+        odd = tmp_path / "odd.bits"
+        odd.write_bytes(raw)
+        fifo = tmp_path / "f.fifo"
+        os.mkfifo(fifo)
+        assert read_bits_file(odd) == bs
+        assert_fifo_reads_as(fifo, raw, bs)
+        assert len(text_path_reads) == 2
+
+
 class TestCodecMemory:
     """The '.bits' codec's traced peak on a 2^18-bit feature: a 260 KiB file, a 32 KiB value."""
 
@@ -636,12 +751,12 @@ class TestCodecMemory:
         # copies: about 150 KiB.  The bound sits about halfway.
         assert self.peak_kib(write_bits_file, *feature) < 400
 
-    def test_reader_holds_the_file_and_one_chunk_of_digits(self, feature):
-        # The reader holds the 260 KiB file either way.  A newline-free copy
-        # of the whole file beside it makes about 550 KiB; a chunk of digits
-        # at a time, the bytes made from them and the value, about 400 KiB.
-        # The bound sits about halfway.
-        assert self.peak_kib(read_bits_file, feature[0]) < 475
+    def test_reader_holds_one_chunk_at_a_time(self, feature):
+        # Reading the whole 260 KiB file before decoding it a chunk at a time
+        # peaks at about 395 KiB.  Reading and dropping one chunk at a time
+        # holds one 33 KiB chunk, its text and the decode's copies of it
+        # beside the 32 KiB value: about 140 KiB.  The bound sits about halfway.
+        assert self.peak_kib(read_bits_file, feature[0]) < 265
 
 
 class TestWriteFile:

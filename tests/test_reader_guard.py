@@ -1,10 +1,10 @@
-"""Every file the package reads goes through ``bits.read_fd``.
+"""Every file the package reads goes through ``bits.read_fd``, or ``os.read`` for '.bits'.
 
 A read through ``pathlib`` or an ``io`` file object costs several times
 the os-level read and names a path its own way, so no module under
 ``src/blokit/`` may call ``Path.read_bytes``/``read_text`` or ``open()`` a
 path.  ``open(fd, ..., closefd=False)`` opens a descriptor, never a path,
-and ``os.open`` is how ``read_fd``'s callers open.
+and ``os.open`` is how ``read_fd``'s callers and ``read_bits_file`` open.
 """
 
 import ast
