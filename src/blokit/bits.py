@@ -166,15 +166,19 @@ class BitString:
 
     @classmethod
     def unpack(cls, data: bytes, length: int) -> "BitString":
-        if length < 0:
-            raise InvalidArgumentError("length must be non-negative")
-        nbytes = (length + 7) // 8
-        if len(data) != nbytes:
-            raise MalformedInputError(
-                f"packed payload is {len(data)} bytes, expected {nbytes} for {length} bits"
-            )
-        value = int.from_bytes(data, "big") >> (8 * nbytes - length) if nbytes else 0
-        return cls(value, length)
+        return cls(unpack_value(data, length), length)
+
+
+def unpack_value(data: bytes, length: int) -> int:
+    """The value of ``length`` bits packed as ``BitString.pack`` packs them; the size is checked."""
+    if length < 0:
+        raise InvalidArgumentError("length must be non-negative")
+    nbytes = (length + 7) // 8
+    if len(data) != nbytes:
+        raise MalformedInputError(
+            f"packed payload is {len(data)} bytes, expected {nbytes} for {length} bits"
+        )
+    return int.from_bytes(data, "big") >> (8 * nbytes - length) if nbytes else 0
 
 
 def from_text(text: str) -> BitString:
@@ -399,8 +403,11 @@ def _bits_file_chunks(packed: bytes, pad: int) -> Iterator[bytes]:
 # refuses.  a2b_hex packs two base-4 digits a, b into 16a + b; _QUAD_HEX maps
 # that to the hex digit of 4a + b, and a second a2b_hex packs the bits.
 # fromhex takes an odd run of digits only at the end, so only the file's last
-# run may be odd: the last chunk pairs it with a '0'.  The base-4 digits are
-# padded with '0's to whole bytes.  The width counts neither pad.
+# run may be odd: the last chunk pairs it with a '0'.  A chunk that ends inside
+# an odd run hands that run's last digit on to the next chunk, so a line of an
+# even width that a chunk cuts still pairs as written; an odd width still
+# fails, since fromhex refuses a pair that a newline splits.  The base-4 digits
+# are padded with '0's to whole bytes.  The width counts neither pad.
 _PAIR_QUADS = (b"01" + b"x" * 14 + b"23").ljust(256, b"x")
 _QUAD_HEX = b"".join(digits + b"x" * 12 for digits in (b"0123", b"4567", b"89ab", b"cdef")).ljust(256, b"x")
 
@@ -414,6 +421,21 @@ def _a2b_hex(data: bytes) -> bytes:
     from binascii import a2b_hex as _a2b_hex
 
     return _a2b_hex(data)
+
+
+def _ends_in_odd_run(chunk: bytes) -> bool:
+    """Whether ``chunk`` ends in an odd run of '0'/'1' digits.
+
+    Read from the end in spans that grow fourfold, so it costs the length of
+    that run, not of the chunk.
+    """
+    span = 128
+    while True:
+        tail = chunk[-span:]
+        run = len(tail) - len(tail.rstrip(b"01"))
+        if run < len(tail) or len(tail) == len(chunk):
+            return run & 1 == 1
+        span *= 4
 
 
 def _decode_bits_chunk(chunk: bytes, last: bool) -> "tuple[int, int]":
@@ -447,6 +469,7 @@ def read_bits_file(path: "str | os.PathLike[str]") -> BitString:
             regular = stat.S_ISREG(st.st_mode)
             kept = []  # a pipe's chunks, for the text path
             runs = []  # (value, width, chunks) per run, earliest first, chunk counts falling
+            carry = b""  # the digit that the last chunk handed on
             size = BITS_CHUNK // 8 * 65  # file bytes in a chunk: whole 64-digit lines and their newlines
             left = st.st_size if regular else -1
             while True:
@@ -464,6 +487,10 @@ def read_bits_file(path: "str | os.PathLike[str]") -> BitString:
                 last = len(chunk) < want
                 if not regular:
                     kept.append(chunk)
+                chunk, carry = carry + chunk, b""
+                # A chunk of whole 64-digit lines ends in a newline and pays one test.
+                if not last and chunk[-1] in b"01" and _ends_in_odd_run(chunk):
+                    chunk, carry = chunk[:-1], chunk[-1:]
                 try:
                     value, width = _decode_bits_chunk(chunk, last)
                 except ValueError:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .bits import BitString, FeatureVector
 from .errors import IncomparableTemplatesError, InvalidArgumentError
-from .transform import ProtectedTemplate, template_payload
+from .transform import ProtectedTemplate, TransformParams, payload_value
 
 
 @dataclass(frozen=True)
@@ -21,31 +21,44 @@ class MatchDecision:
     accepted: bool
 
 
-def _decide(payload: BitString, stored: BitString, threshold: float) -> MatchDecision:
+def _decide(
+    value: int, length: int, stored_value: int, stored_length: int, threshold: float
+) -> MatchDecision:
     if not 0.0 <= threshold <= 1.0:
         raise InvalidArgumentError(f"threshold must lie in [0, 1], got {threshold}")
-    length = stored.length
-    if payload.length != length:
-        raise IncomparableTemplatesError(f"length mismatch: {payload.length} vs {length} bits")
-    # bits.hamming_distance, less its length check: the lengths are equal here.
-    similarity = 1.0 - (payload.value ^ stored.value).bit_count() / length
+    if length != stored_length:
+        raise IncomparableTemplatesError(f"length mismatch: {length} vs {stored_length} bits")
+    # bits.hamming_distance on the two payloads' values; the lengths are equal here.
+    similarity = 1.0 - (value ^ stored_value).bit_count() / length
     return MatchDecision(
         similarity=similarity, threshold=threshold, accepted=similarity >= threshold
     )
 
 
+def decide_probe(
+    probe: "FeatureVector | BitString",
+    params: TransformParams,
+    stored_value: int,
+    stored_length: int,
+    threshold: float = 1.0,
+) -> MatchDecision:
+    """Decide a probe feature against a stored payload made under ``params``.
+
+    The probe is transformed under ``params`` and only its payload's value
+    is compared with ``stored_value``, so neither side needs a template
+    record or a BitString.  The decision and the errors, in their order
+    (the transform's, the threshold's, the length's), are those of
+    ``match_templates(transform(probe, stored.params), stored, threshold)``
+    for the stored template whose payload this is.
+    """
+    return _decide(*payload_value(probe, params), stored_value, stored_length, threshold)
+
+
 def match_probe(
     probe: "FeatureVector | BitString", stored: ProtectedTemplate, threshold: float = 1.0
 ) -> MatchDecision:
-    """Decide a probe feature against a stored template.
-
-    The probe is transformed under ``stored.params`` and only its payload is
-    compared with ``stored.data``, so no candidate template is built.  The
-    decision and the errors, in their order (the transform's, the
-    threshold's, the length's), are those of ``match_templates(transform(probe,
-    stored.params), stored, threshold)``.
-    """
-    return _decide(template_payload(probe, stored.params), stored.data, threshold)
+    """``decide_probe`` against a stored template's record."""
+    return decide_probe(probe, stored.params, stored.data.value, stored.data.length, threshold)
 
 
 def match_templates(
@@ -62,4 +75,4 @@ def match_templates(
         raise IncomparableTemplatesError(
             f"parameter mismatch: {a.params} vs {b.params}"
         )
-    return _decide(a.data, b.data, threshold)
+    return _decide(a.data.value, a.data.length, b.data.value, b.data.length, threshold)

@@ -15,7 +15,12 @@ in place through ``bits.write_fd``, each opened with O_NOFOLLOW so that
 neither is written through a link.  Every open is O_NONBLOCK, so a FIFO
 never blocks a store call: a read opens its own O_NONBLOCK descriptor,
 refuses a file that is not regular, then reads through ``bits.read_fd``.
-Neither write is atomic.  Single writer, multiple readers; concurrent
+Neither write is atomic.  Both lookups read the pair's '.blo' one way,
+with the same id checks and not-found and storage errors, and decode it
+with ``transform``'s one '.blo' decoder: ``load_template`` into a
+``ProtectedTemplate``; ``authenticate`` into its header fields and
+payload value, which ``matcher.decide_probe`` decides the probe against,
+so no template record is built.  Single writer, multiple readers; concurrent
 writers are out of contract.  Templates are stored in the clear on
 purpose: the point of the exercise is that the templates themselves are
 the vulnerability.
@@ -37,11 +42,12 @@ from .errors import (
     RecordNotFoundError,
     StorageError,
 )
-from .matcher import MatchDecision, match_probe
+from .matcher import MatchDecision, decide_probe
 from .transform import (
     ProtectedTemplate,
     TransformParams,
     decode_template,
+    decode_template_fields,
     encode_template,
     transform,
 )
@@ -199,6 +205,23 @@ class TemplateStore:
         return record
 
     def load_template(self, device_id: str, user_id: str) -> ProtectedTemplate:
+        return decode_template(*self._read_template(device_id, user_id))
+
+    def authenticate(
+        self, device_id: str, user_id: str, probe: FeatureVector, threshold: float = 1.0
+    ) -> MatchDecision:
+        """Decide the probe against the stored template, by ``matcher.decide_probe``.
+
+        The stored params and payload value come straight from the '.blo'
+        fields, so no ProtectedTemplate is built.  The errors, in their
+        order: ``load_template``'s, then the probe's transform errors, the
+        threshold's and the payload length's.
+        """
+        params, _, value, length = decode_template_fields(*self._read_template(device_id, user_id))
+        return decide_probe(probe, params, value, length, threshold)
+
+    def _read_template(self, device_id: str, user_id: str) -> "tuple[bytes, str]":
+        """The pair's '.blo' bytes and the path that names them in errors."""
         _check_id("device", device_id)
         _check_id("user", user_id)
         path = f"{self._prefix}{device_id}/{user_id}.blo"
@@ -214,13 +237,7 @@ class TemplateStore:
             raise _not_enrolled(device_id, user_id) from None
         if raw is None:
             raise _not_enrolled(device_id, user_id)
-        return decode_template(raw, path)
-
-    def authenticate(
-        self, device_id: str, user_id: str, probe: FeatureVector, threshold: float = 1.0
-    ) -> MatchDecision:
-        """Decide the probe against the stored template, by ``matcher.match_probe``."""
-        return match_probe(probe, self.load_template(device_id, user_id), threshold)
+        return raw, path
 
     def list_records(self) -> "list[ManifestEntry]":
         """Manifest entries in manifest order; empty store gives an empty list."""

@@ -24,7 +24,7 @@ import os
 import struct
 from dataclasses import dataclass
 
-from .bits import BitString, FeatureVector, path_name, read_file, write_file
+from .bits import BitString, FeatureVector, path_name, read_file, unpack_value, write_file
 from .errors import InvalidArgumentError, MalformedInputError
 
 BLO_MAGIC = b"BLO1"
@@ -75,20 +75,7 @@ class ProtectedTemplate:
     block_count: int
 
     def __post_init__(self) -> None:
-        b = self.params.block_size
-        if self.block_count < 1:
-            raise InvalidArgumentError("template must hold at least one block")
-        if self.data.length != self.block_count * (b - 1):
-            raise InvalidArgumentError(
-                f"template holds {self.data.length} bits, "
-                f"expected {self.block_count} blocks of {b - 1}"
-            )
-        expected = _block_count(self.original_length, self.params)
-        if expected != self.block_count:
-            raise InvalidArgumentError(
-                f"{self.original_length}-bit input yields {expected} blocks "
-                f"under {self.params.padding.value}, not {self.block_count}"
-            )
+        _check_blocks(self.data.length, self.params, self.original_length, self.block_count)
 
     def same_template(self, other: "ProtectedTemplate") -> bool:
         """Matching-equivalence: equal payload under equal parameters.
@@ -98,6 +85,26 @@ class ProtectedTemplate:
         everywhere it counts.
         """
         return self.params == other.params and self.data == other.data
+
+
+def _check_blocks(
+    data_bits: int, params: TransformParams, original_length: int, block_count: int
+) -> None:
+    """A template's checks: its payload is ``block_count`` >= 1 blocks, as many
+    as an ``original_length``-bit input yields under ``params``."""
+    b = params.block_size
+    if block_count < 1:
+        raise InvalidArgumentError("template must hold at least one block")
+    if data_bits != block_count * (b - 1):
+        raise InvalidArgumentError(
+            f"template holds {data_bits} bits, expected {block_count} blocks of {b - 1}"
+        )
+    expected = _block_count(original_length, params)
+    if expected != block_count:
+        raise InvalidArgumentError(
+            f"{original_length}-bit input yields {expected} blocks "
+            f"under {params.padding.value}, not {block_count}"
+        )
 
 
 def _block_count(length: int, params: TransformParams) -> int:
@@ -214,14 +221,19 @@ def transform_block(block: BitString) -> BitString:
     return BitString(transform_value(block.value, 1, b), b - 1)
 
 
-def template_payload(fv: "FeatureVector | BitString", params: TransformParams) -> BitString:
-    """The payload of ``transform(fv, params)``, and its errors, without the template record.
+def payload_value(fv: "FeatureVector | BitString", params: TransformParams) -> "tuple[int, int]":
+    """The payload of ``transform(fv, params)`` as (value, bits), and its errors, with no record.
 
     A probe is decided on its payload under the stored template's params
     alone, so only a template that is kept needs the record.
     """
     value, n = _aligned_value(_coerce(fv), params)
-    return BitString(transform_value(value, n, params.block_size), n * (params.block_size - 1))
+    return transform_value(value, n, params.block_size), n * (params.block_size - 1)
+
+
+def template_payload(fv: "FeatureVector | BitString", params: TransformParams) -> BitString:
+    """``payload_value`` as a BitString."""
+    return BitString(*payload_value(fv, params))
 
 
 def transform(fv: "FeatureVector | BitString", params: TransformParams) -> ProtectedTemplate:
@@ -276,6 +288,38 @@ def _header_params(block_size: int, policy_byte: int) -> TransformParams:
 
 def decode_template(raw: bytes, source: "str | os.PathLike[str]") -> ProtectedTemplate:
     """Decode the '.blo' codec; a MalformedInputError names ``source`` through ``path_name``."""
+    return _decode_blo(raw, source, _template_record)
+
+
+def decode_template_fields(
+    raw: bytes, source: "str | os.PathLike[str]"
+) -> "tuple[TransformParams, int, int, int]":
+    """The '.blo' codec's params, original length and payload (value, bits), with no record.
+
+    Every check and error of ``decode_template`` is made, in the same order.
+    """
+    return _decode_blo(raw, source, _checked_fields)
+
+
+def _template_record(
+    params: TransformParams, original_length: int, value: int, data_bits: int, block_count: int
+) -> ProtectedTemplate:
+    return ProtectedTemplate(BitString(value, data_bits), params, original_length, block_count)
+
+
+def _checked_fields(
+    params: TransformParams, original_length: int, value: int, data_bits: int, block_count: int
+) -> "tuple[TransformParams, int, int, int]":
+    _check_blocks(data_bits, params, original_length, block_count)
+    return params, original_length, value, data_bits
+
+
+# The one '.blo' decoder.  It checks the header and the payload's size, then
+# hands the fields to ``build``, which makes the template's own checks
+# (_check_blocks): a record makes them in its __post_init__, so the decoder
+# does not make them twice.  Every error is raised inside the try, so each
+# names ``source``.
+def _decode_blo(raw: bytes, source: "str | os.PathLike[str]", build):
     try:
         if len(raw) < _BLO_HEADER.size or raw[:4] != BLO_MAGIC:
             raise MalformedInputError("not a template file (bad magic)")
@@ -285,16 +329,11 @@ def decode_template(raw: bytes, source: "str | os.PathLike[str]") -> ProtectedTe
         if policy_byte not in _BYTE_POLICY:
             raise MalformedInputError(f"unknown padding policy byte {policy_byte:#x}")
         params = _header_params(block_size, policy_byte)
-        data = BitString.unpack(raw[_BLO_HEADER.size :], data_bits)
+        value = unpack_value(raw[_BLO_HEADER.size :], data_bits)
         if data_bits % (block_size - 1):
             raise InvalidArgumentError(
                 f"payload of {data_bits} bits is not a whole number of blocks"
             )
-        return ProtectedTemplate(
-            data=data,
-            params=params,
-            original_length=original_length,
-            block_count=data_bits // (block_size - 1),
-        )
+        return build(params, original_length, value, data_bits, data_bits // (block_size - 1))
     except (InvalidArgumentError, MalformedInputError) as exc:
         raise MalformedInputError(f"{path_name(source)}: {exc}") from exc

@@ -606,6 +606,25 @@ class TestChunkedBitsReader:
             path.write_bytes(oracle_bits_file_text(bs, wrap).encode("ascii"))
             assert read_bits_file(path) == bs == oracle_read_bits_file(path), length
 
+    @pytest.mark.parametrize("wrap", [2, 66, 100, 0])
+    def test_even_line_widths_never_take_the_text_path(self, tmp_path, monkeypatch, chunk, wrap):
+        # A chunk cut that lands after an odd number of a line's digits hands
+        # the last one on; with wrap 0 the file is one line longer than a chunk.
+        length = 64 * chunk + 9  # a file of no whole number of chunks, so a FIFO sees its end
+        bs = BitString(stream_rng(length, wrap).getrandbits(length), length)
+        raw = oracle_bits_file_text(bs, wrap).encode("ascii")
+        expected = from_text(raw.decode("ascii"))
+        path, fifo = tmp_path / "r.bits", tmp_path / "r.fifo"
+        path.write_bytes(raw)
+        os.mkfifo(fifo)
+
+        def no_text_path(text):
+            raise AssertionError("read_bits_file took the text path")
+
+        monkeypatch.setattr(bits, "from_text", no_text_path)
+        assert read_bits_file(path) == expected == bs
+        assert_fifo_reads_as(fifo, raw, expected)
+
     def test_newlines_alone_and_blank_chunks(self, tmp_path, chunk):
         size = chunk // 8 * 65
         path = tmp_path / "r.bits"

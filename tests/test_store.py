@@ -32,6 +32,7 @@ from blokit import (
     read_template_file,
     transform,
 )
+from blokit.matcher import match_probe
 from blokit.transform import write_template_file
 from conftest import DATA_DIR, lookup_cases, padding_policies, store_state
 
@@ -528,6 +529,17 @@ class TestLookupContract:
             decision = store.authenticate("d1", "alice", fv)
         assert decision.accepted
 
+    def test_authenticate_builds_no_template_record(self, enrolled, monkeypatch):
+        store, fv = enrolled
+        calls = []
+        post_init = ProtectedTemplate.__post_init__
+        monkeypatch.setattr(ProtectedTemplate, "__post_init__",
+                            lambda tpl: calls.append(tpl) or post_init(tpl))
+        assert store.authenticate("d1", "alice", fv).accepted
+        assert calls == []
+        store.load_template("d1", "alice")  # the patch does count a record
+        assert len(calls) == 1
+
     def test_short_reads_are_read_to_the_end(self, enrolled, monkeypatch):
         store, fv = enrolled
         real_read = os.read
@@ -698,6 +710,23 @@ class TestBloFuzz:
                 assert isinstance(tpl, ProtectedTemplate)
                 outcomes.append(tpl)
         assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=mutated_blo(), seed=st.integers(0, 2**16),
+           threshold=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_authenticate_decodes_as_load_template(self, fuzz_store, raw, seed, threshold):
+        """The same error text, or match_probe's decision on the loaded record."""
+        (fuzz_store.root / "d1" / "u.blo").write_bytes(raw)
+        try:
+            stored = fuzz_store.load_template("d1", "u")
+        except MalformedInputError as exc:
+            with pytest.raises(MalformedInputError) as raised:
+                fuzz_store.authenticate("d1", "u", FeatureVector(random_bits(40, seed)), threshold)
+            assert str(raised.value) == str(exc)
+            return
+        probe = FeatureVector(random_bits(stored.original_length, seed))
+        assert fuzz_store.authenticate("d1", "u", probe, threshold) == match_probe(
+            probe, stored, threshold)
 
 
 # The machine's ids: 12 pairs it may enroll, one pair it never does, and malformed ids,
